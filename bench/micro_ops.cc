@@ -287,6 +287,104 @@ BENCHMARK(BM_EncodeNoGradVsTaped)
     ->Args({1, 2})->Args({0, 2})
     ->Unit(benchmark::kMicrosecond);
 
+/** A generated program plus one inserted statement: the tree a
+ * commit-watch request compares against its resident parent. */
+std::pair<std::string, std::string>
+commitSources()
+{
+    // After the first "x++;" line, else at the top of main().
+    std::string parent = benchSource();
+    std::string child = parent;
+    std::size_t at = child.find("++;\n");
+    at = at == std::string::npos
+        ? child.find("{\n", child.find("main")) + 2
+        : at + 4;
+    child.insert(at, "        n = n * 2 + 1;\n");
+    return {parent, child};
+}
+
+/**
+ * Hash-consed tree-LSTM encode (arg 0 == 1: the serving miss path,
+ * through a real subtree-state store) vs every node through the
+ * level-batched wavefront (arg 0 == 0), tape-free, at the default
+ * model size (32/48, one uni-directional layer). Items/s is trees
+ * encoded per second. Rows (arg 1):
+ *  - commit: a child with one inserted statement whose parent's
+ *    subtree states are stored — the edit-chain case;
+ *  - cold: a tree with an empty store, so only repeats inside the
+ *    tree are shared — the no-sharing case, which must never lose;
+ *  - forest: 8 programs of one family in one call, empty store.
+ * check_bench_encode.py gates commit >= 3x and cold >= 1x.
+ */
+void
+BM_EncodeHashConsed(benchmark::State& state)
+{
+    const bool hashConsed = state.range(0) == 1;
+    const int row = static_cast<int>(state.range(1));
+    ComparativePredictor model(EncoderConfig(), 1);
+    const auto& encoder =
+        dynamic_cast<const TreeLstmEncoder&>(model.encoder());
+
+    const auto [parentSrc, childSrc] = commitSources();
+    const Ast parent = parseAndPrune(parentSrc);
+    const Ast child = parseAndPrune(childSrc);
+    std::vector<const Ast*> trees;
+    std::vector<const Ast*> stored;
+    const char* name = "commit";
+    if (row == 0) {
+        trees = {&child};
+        stored = {&parent};
+    } else if (row == 1) {
+        trees = {&benchCorpus().submissions()[0].ast};
+        name = "cold";
+    } else {
+        for (std::size_t i = 0; i < 8; ++i)
+            trees.push_back(&benchCorpus().submissions()[i].ast);
+        name = "forest";
+    }
+
+    SubtreeReuse reuse;
+    for (auto _ : state) {
+        if (!hashConsed) {
+            InferenceScope scope;
+            benchmark::DoNotOptimize(encoder.encodeForestRoots(trees));
+            continue;
+        }
+        // Each iteration starts from a store holding exactly the
+        // parent's states (nothing for cold/forest); building it is
+        // not timed.
+        state.PauseTiming();
+        auto cache = std::make_unique<ShardedEncodingCache>(1, 4096);
+        NamespaceStateStore store(*cache, 1);
+        if (!stored.empty()) {
+            InferenceScope scope;
+            model.encodeMany(stored, store, nullptr);
+        }
+        state.ResumeTiming();
+        {
+            InferenceScope scope;
+            benchmark::DoNotOptimize(
+                model.encodeMany(trees, store, &reuse));
+        }
+        state.PauseTiming();
+        cache.reset();
+        state.ResumeTiming();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(trees.size()));
+    if (hashConsed && reuse.nodes > 0)
+        state.counters["computed_share"] =
+            static_cast<double>(reuse.computed) /
+            static_cast<double>(reuse.nodes);
+    state.SetLabel(std::string(name) + "/" +
+                   (hashConsed ? "hash-consed" : "level-batched"));
+}
+BENCHMARK(BM_EncodeHashConsed)
+    ->Args({1, 0})->Args({0, 0})
+    ->Args({1, 1})->Args({0, 1})
+    ->Args({1, 2})->Args({0, 2})
+    ->Unit(benchmark::kMicrosecond);
+
 /**
  * fp16 codec family ablation: bulk half->float decode through the
  * portable bit-twiddling oracle (arg 0 == 0) vs the F16C family

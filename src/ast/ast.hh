@@ -10,6 +10,7 @@
 #ifndef CCSA_AST_AST_HH
 #define CCSA_AST_AST_HH
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -18,6 +19,35 @@
 
 namespace ccsa
 {
+
+/**
+ * 128-bit structural digest of a tree or subtree: the key of the
+ * serving caches (digestAst for whole trees, the encoder's Merkle
+ * walk for subtrees).
+ */
+struct AstDigest
+{
+    std::uint64_t lo = 0;
+    std::uint64_t hi = 0;
+
+    bool
+    operator==(const AstDigest& other) const
+    {
+        return lo == other.lo && hi == other.hi;
+    }
+};
+
+/** Hash functor so AstDigest can key unordered containers. */
+struct AstDigestHash
+{
+    std::size_t
+    operator()(const AstDigest& d) const
+    {
+        // lo is already a well-mixed 64-bit hash; fold hi in.
+        return static_cast<std::size_t>(
+            d.lo ^ (d.hi * 0x9E3779B97F4A7C15ULL));
+    }
+};
 
 /** One AST node stored inside an Ast arena. */
 struct AstNode

@@ -37,6 +37,14 @@ ComparativePredictor::encodeMany(
     return encoder_->encodeMany(asts);
 }
 
+std::vector<ag::Var>
+ComparativePredictor::encodeMany(const std::vector<const Ast*>& asts,
+                                 SubtreeStateStore& store,
+                                 SubtreeReuse* reuse) const
+{
+    return encoder_->encodeManyWithStore(asts, store, reuse);
+}
+
 ag::Var
 ComparativePredictor::logitFromEncodings(const ag::Var& z_first,
                                          const ag::Var& z_second) const

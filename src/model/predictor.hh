@@ -61,6 +61,15 @@ class ComparativePredictor : public nn::Module
     std::vector<ag::Var>
     encodeMany(const std::vector<const Ast*>& asts) const;
 
+    /**
+     * encodeMany() backed by a subtree-state store (see
+     * CodeEncoder::encodeManyWithStore) — the serving Engine's miss
+     * path. Results are identical to encodeMany().
+     */
+    std::vector<ag::Var>
+    encodeMany(const std::vector<const Ast*>& asts,
+               SubtreeStateStore& store, SubtreeReuse* reuse) const;
+
     /** Differentiable pair logit from precomputed encodings. */
     ag::Var logitFromEncodings(const ag::Var& z_first,
                                const ag::Var& z_second) const;

@@ -296,11 +296,14 @@ ag::Var
 TreeLstm::runDirectionLevels(const ChildSumTreeLstmCell& cell,
                              const TreeSpec::LevelSchedule& sched,
                              std::size_t node_count,
-                             const ag::Var& inputs)
+                             const ag::Var& inputs,
+                             const LstmState* external, ag::Var* c_out)
 {
     // Node states live inside their level's output matrices; nodes
-    // are addressed as (level, row) and collected per wavefront with
+    // are addressed as (source, row) and collected per wavefront with
     // one pickRows op — no per-node tape traffic during the pass.
+    // Source 0 is the external block when there is one, then one
+    // source per level.
     struct NodeLoc
     {
         int level = -1;
@@ -308,8 +311,19 @@ TreeLstm::runDirectionLevels(const ChildSumTreeLstmCell& cell,
     };
     std::vector<NodeLoc> loc(node_count);
     std::vector<ag::Var> level_h, level_c;
-    level_h.reserve(sched.levels.size());
-    level_c.reserve(sched.levels.size());
+    level_h.reserve(sched.levels.size() + 1);
+    level_c.reserve(sched.levels.size() + 1);
+    if (external != nullptr) {
+        level_h.push_back(external->h);
+        level_c.push_back(external->c);
+    }
+    const int first = static_cast<int>(level_h.size());
+    auto where = [&](int dep) {
+        std::size_t id = static_cast<std::size_t>(dep);
+        return id < node_count
+            ? loc[id]
+            : NodeLoc{0, static_cast<int>(id - node_count)};
+    };
 
     std::vector<std::pair<int, int>> picks;
     for (std::size_t l = 0; l < sched.levels.size(); ++l) {
@@ -327,7 +341,7 @@ TreeLstm::runDirectionLevels(const ChildSumTreeLstmCell& cell,
             dh.reserve(deps.size());
             dc.reserve(deps.size());
             for (int dep : deps) {
-                const NodeLoc& d = loc[dep];
+                const NodeLoc d = where(dep);
                 if (level_h[d.level].value().rows() == 1) {
                     dh.push_back(level_h[d.level]);
                     dc.push_back(level_c[d.level]);
@@ -348,8 +362,10 @@ TreeLstm::runDirectionLevels(const ChildSumTreeLstmCell& cell,
             } else {
                 picks.clear();
                 picks.reserve(deps.size());
-                for (int dep : deps)
-                    picks.emplace_back(loc[dep].level, loc[dep].row);
+                for (int dep : deps) {
+                    const NodeLoc d = where(dep);
+                    picks.emplace_back(d.level, d.row);
+                }
                 st = cell.composeLevel(
                     xl, ag::pickRows(level_h, picks),
                     ag::pickRows(level_c, picks),
@@ -360,21 +376,61 @@ TreeLstm::runDirectionLevels(const ChildSumTreeLstmCell& cell,
         level_h.push_back(st.h);
         level_c.push_back(st.c);
         for (std::size_t b = 0; b < ids.size(); ++b)
-            loc[ids[b]] = {static_cast<int>(l),
+            loc[ids[b]] = {first + static_cast<int>(l),
                            static_cast<int>(b)};
     }
 
-    // Assemble the node-ordered output matrix in one op. A
+    // Assemble the node-ordered output matrices in one op each. A
     // single-level schedule is already node-ordered (levels list
     // nodes ascending).
-    if (level_h.size() == 1 &&
-        sched.levels[0].size() == node_count)
-        return level_h[0];
+    if (sched.levels.size() == 1 &&
+        sched.levels[0].size() == node_count) {
+        if (c_out != nullptr)
+            *c_out = level_c[first];
+        return level_h[first];
+    }
     picks.clear();
     picks.reserve(node_count);
     for (std::size_t i = 0; i < node_count; ++i)
         picks.push_back({loc[i].level, loc[i].row});
+    if (c_out != nullptr)
+        *c_out = ag::pickRows(level_c, picks);
     return ag::pickRows(level_h, picks);
+}
+
+TreeLstm::LayerStates
+TreeLstm::encodeUpward(const TreeSpec::LevelSchedule& sched,
+                       std::size_t node_count, const ag::Var& inputs,
+                       const LayerStates& external) const
+{
+    if (arch_ != TreeArch::Uni)
+        fatal("TreeLstm::encodeUpward: needs the uni-directional "
+              "architecture (", treeArchName(arch_), " given)");
+    if (static_cast<std::size_t>(inputs.value().rows()) != node_count)
+        fatal("TreeLstm::encodeUpward: ", inputs.value().rows(),
+              " input rows for ", node_count, " nodes");
+    const bool has_external = !external.h.empty();
+    if (has_external && (external.h.size() != layers_.size() ||
+                         external.c.size() != layers_.size()))
+        fatal("TreeLstm::encodeUpward: external states for ",
+              external.h.size(), " layers, model has ",
+              layers_.size());
+
+    LayerStates out;
+    out.h.reserve(layers_.size());
+    out.c.reserve(layers_.size());
+    ag::Var x = inputs;
+    for (std::size_t l = 0; l < layers_.size(); ++l) {
+        LstmState ext;
+        if (has_external)
+            ext = {external.h[l], external.c[l]};
+        ag::Var c;
+        x = runDirectionLevels(*layers_[l].up, sched, node_count, x,
+                               has_external ? &ext : nullptr, &c);
+        out.h.push_back(x);
+        out.c.push_back(c);
+    }
+    return out;
 }
 
 std::vector<ag::Var>

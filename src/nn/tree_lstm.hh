@@ -223,8 +223,39 @@ class TreeLstm : public Module
         const std::vector<const TreeSpec*>& trees,
         const ag::Var& inputs) const;
 
+    /**
+     * Per-layer states of a set of nodes: h[l] and c[l] are
+     * (node_count x hidden) matrices whose row i is node i at layer l.
+     */
+    struct LayerStates
+    {
+        std::vector<ag::Var> h;
+        std::vector<ag::Var> c;
+    };
+
+    /**
+     * Upward (Uni) encode of a node set whose dependencies may lie
+     * outside it — the hash-consed path, where each scheduled node
+     * is a distinct subtree and a child whose states are already
+     * known is read instead of recomputed. A dependency id below
+     * node_count names a scheduled node; id node_count + e names row
+     * e of `external`'s per-layer matrices (empty when nothing is
+     * external). Rows are bitwise what encodeNodes() gives the same
+     * nodes inside their full trees. FatalError unless arch() is Uni.
+     * @param sched upward levels over node ids [0, node_count).
+     * @param inputs per-node inputs (node_count x input_dim).
+     * @return every layer's h and c for the scheduled nodes.
+     */
+    LayerStates encodeUpward(const TreeSpec::LevelSchedule& sched,
+                             std::size_t node_count,
+                             const ag::Var& inputs,
+                             const LayerStates& external) const;
+
     /** @return dimensionality of the per-node output. */
     int outputDim() const;
+
+    /** @return hidden size per direction. */
+    int hiddenDim() const { return hiddenDim_; }
 
     int numLayers() const { return static_cast<int>(layers_.size()); }
     TreeArch arch() const { return arch_; }
@@ -248,12 +279,16 @@ class TreeLstm : public Module
     /**
      * Run a single direction level-batched over a (possibly merged)
      * schedule; @return the stacked hidden states (node_count x
-     * hidden) in node order.
+     * hidden) in node order. Dependency ids >= node_count read row
+     * (id - node_count) of `external` (h and c matrices) instead of
+     * a scheduled node; `c_out`, when set, receives the cell states
+     * in node order too.
      */
     static ag::Var runDirectionLevels(
         const ChildSumTreeLstmCell& cell,
         const TreeSpec::LevelSchedule& sched, std::size_t node_count,
-        const ag::Var& inputs);
+        const ag::Var& inputs, const LstmState* external = nullptr,
+        ag::Var* c_out = nullptr);
 
     TreeArch arch_;
     int hiddenDim_;

@@ -53,61 +53,65 @@ allocateModelNamespace()
     return next.fetch_add(1);
 }
 
-EncodingCache::EncodingCache(std::size_t capacity,
-                             LatentPrecision precision)
-    : capacity_(capacity), precision_(precision)
+template <class Value>
+LruCache<Value>::LruCache(std::size_t capacity) : capacity_(capacity)
 {
     if (capacity_ == 0)
         fatal("EncodingCache: capacity must be >= 1");
 }
 
-bool
-EncodingCache::lookup(const EncodingKey& key, Tensor* out)
+template <class Value>
+const Value*
+LruCache<Value>::find(const EncodingKey& key)
 {
     auto it = entries_.find(key);
     if (it == entries_.end()) {
         ++stats_.misses;
         ++perNamespace_[key.modelVersion].misses;
-        return false;
+        return nullptr;
     }
     ++stats_.hits;
     ++perNamespace_[key.modelVersion].hits;
     order_.splice(order_.begin(), order_, it->second);
-    if (out != nullptr)
-        *out = decodeLatent(it->second->stored);
-    return true;
+    return &it->second->value;
 }
 
+template <class Value>
 void
-EncodingCache::insert(const EncodingKey& key, Tensor latent)
+LruCache<Value>::insert(const EncodingKey& key, Value value)
 {
-    StoredLatent stored = encodeLatent(latent, precision_);
-    const std::size_t bytes = stored.payloadBytes();
+    const std::size_t bytes = value.payloadBytes();
     auto it = entries_.find(key);
     if (it != entries_.end()) {
         // Overwrite of a resident key: residents is unchanged and
         // residentBytes swaps the old payload for the new one — the
         // new bytes are added before the old are subtracted so an
         // unsigned counter can't transiently underflow.
+        const std::size_t old = it->second->value.payloadBytes();
         NamespaceStats& ns = perNamespace_[key.modelVersion];
         ns.residentBytes += bytes;
-        ns.residentBytes -= it->second->stored.payloadBytes();
-        it->second->stored = std::move(stored);
+        ns.residentBytes -= old;
+        residentBytes_ += bytes;
+        residentBytes_ -= old;
+        it->second->value = std::move(value);
         order_.splice(order_.begin(), order_, it->second);
         return;
     }
-    order_.push_front(Entry{key, std::move(stored)});
+    order_.push_front(Entry{key, std::move(value)});
     entries_.emplace(key, order_.begin());
     NamespaceStats& inserted = perNamespace_[key.modelVersion];
     ++inserted.residents;
     inserted.residentBytes += bytes;
+    residentBytes_ += bytes;
     while (entries_.size() > capacity_) {
         const Entry& victimEntry = order_.back();
         const EncodingKey& victim = victimEntry.key;
+        const std::size_t victimBytes = victimEntry.value.payloadBytes();
         NamespaceStats& ns = perNamespace_[victim.modelVersion];
         ++ns.evictions;
         --ns.residents;
-        ns.residentBytes -= victimEntry.stored.payloadBytes();
+        ns.residentBytes -= victimBytes;
+        residentBytes_ -= victimBytes;
         entries_.erase(victim);
         order_.pop_back();
         ++stats_.evictions;
@@ -131,22 +135,26 @@ EncodingCache::insert(const EncodingKey& key, Tensor latent)
     }
 }
 
+template <class Value>
 void
-EncodingCache::clear()
+LruCache<Value>::clear()
 {
     entries_.clear();
     order_.clear();
+    residentBytes_ = 0;
     for (auto& [ns, stats] : perNamespace_) {
         stats.residents = 0;
         stats.residentBytes = 0;
     }
 }
 
+template <class Value>
 void
-EncodingCache::clearNamespace(std::uint64_t modelVersion)
+LruCache<Value>::clearNamespace(std::uint64_t modelVersion)
 {
     for (auto it = order_.begin(); it != order_.end();) {
         if (it->key.modelVersion == modelVersion) {
+            residentBytes_ -= it->value.payloadBytes();
             entries_.erase(it->key);
             it = order_.erase(it);
         } else {
@@ -158,11 +166,37 @@ EncodingCache::clearNamespace(std::uint64_t modelVersion)
     ns.residentBytes = 0;
 }
 
-EncodingCache::NamespaceStats
-EncodingCache::namespaceStats(std::uint64_t modelVersion) const
+template <class Value>
+typename LruCache<Value>::NamespaceStats
+LruCache<Value>::namespaceStats(std::uint64_t modelVersion) const
 {
     auto it = perNamespace_.find(modelVersion);
     return it == perNamespace_.end() ? NamespaceStats() : it->second;
+}
+
+template class LruCache<StoredLatent>;
+template class LruCache<SubtreeState>;
+
+EncodingCache::EncodingCache(std::size_t capacity,
+                             LatentPrecision precision)
+    : LruCache<StoredLatent>(capacity), precision_(precision)
+{
+}
+
+bool
+EncodingCache::lookup(const EncodingKey& key, Tensor* out)
+{
+    const StoredLatent* stored = find(key);
+    if (stored != nullptr && out != nullptr)
+        *out = decodeLatent(*stored);
+    return stored != nullptr;
+}
+
+void
+EncodingCache::insert(const EncodingKey& key, Tensor latent)
+{
+    LruCache<StoredLatent>::insert(key,
+                                   encodeLatent(latent, precision_));
 }
 
 ShardedEncodingCache::ShardedEncodingCache(
@@ -248,12 +282,41 @@ ShardedEncodingCache::insert(const EncodingKey& key, Tensor latent)
     shard.cache.insert(key, std::move(latent));
 }
 
+bool
+ShardedEncodingCache::lookupState(const EncodingKey& key, float* out,
+                                  std::size_t count)
+{
+    Shard& shard = *shards_[shardOf(key)];
+    std::lock_guard<std::mutex> lock(shard.stateMutex);
+    // Copied out under the partition lock, like a latent hit.
+    const SubtreeState* state = shard.states.find(key);
+    if (state == nullptr || state->values.size() != count)
+        return false;
+    std::copy(state->values.begin(), state->values.end(), out);
+    return true;
+}
+
+void
+ShardedEncodingCache::insertState(const EncodingKey& key,
+                                  const float* states,
+                                  std::size_t count)
+{
+    SubtreeState value{std::vector<float>(states, states + count)};
+    Shard& shard = *shards_[shardOf(key)];
+    std::lock_guard<std::mutex> lock(shard.stateMutex);
+    shard.states.insert(key, std::move(value));
+}
+
 void
 ShardedEncodingCache::clear()
 {
     for (auto& shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard->mutex);
-        shard->cache.clear();
+        {
+            std::lock_guard<std::mutex> lock(shard->mutex);
+            shard->cache.clear();
+        }
+        std::lock_guard<std::mutex> lock(shard->stateMutex);
+        shard->states.clear();
     }
 }
 
@@ -261,8 +324,12 @@ void
 ShardedEncodingCache::clearNamespace(std::uint64_t modelVersion)
 {
     for (auto& shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard->mutex);
-        shard->cache.clearNamespace(modelVersion);
+        {
+            std::lock_guard<std::mutex> lock(shard->mutex);
+            shard->cache.clearNamespace(modelVersion);
+        }
+        std::lock_guard<std::mutex> lock(shard->stateMutex);
+        shard->states.clearNamespace(modelVersion);
     }
 }
 
@@ -315,13 +382,44 @@ ShardedEncodingCache::namespaceStats(std::uint64_t modelVersion) const
     EncodingCache::NamespaceStats total;
     for (const auto& shard : shards_) {
         std::lock_guard<std::mutex> lock(shard->mutex);
-        EncodingCache::NamespaceStats s =
-            shard->cache.namespaceStats(modelVersion);
-        total.hits += s.hits;
-        total.misses += s.misses;
-        total.evictions += s.evictions;
-        total.residents += s.residents;
-        total.residentBytes += s.residentBytes;
+        total += shard->cache.namespaceStats(modelVersion);
+    }
+    return total;
+}
+
+LruNamespaceStats
+ShardedEncodingCache::stateStats() const
+{
+    LruNamespaceStats total;
+    for (std::size_t s = 0; s < shards_.size(); ++s)
+        total += stateShardStats(s);
+    return total;
+}
+
+LruNamespaceStats
+ShardedEncodingCache::stateShardStats(std::size_t shard) const
+{
+    if (shard >= shards_.size())
+        fatal("ShardedEncodingCache: shard index out of range");
+    const Shard& part = *shards_[shard];
+    std::lock_guard<std::mutex> lock(part.stateMutex);
+    LruNamespaceStats out;
+    out.hits = part.states.stats().hits;
+    out.misses = part.states.stats().misses;
+    out.evictions = part.states.stats().evictions;
+    out.residents = part.states.size();
+    out.residentBytes = part.states.residentBytes();
+    return out;
+}
+
+LruNamespaceStats
+ShardedEncodingCache::stateNamespaceStats(
+    std::uint64_t modelVersion) const
+{
+    LruNamespaceStats total;
+    for (const auto& shard : shards_) {
+        std::lock_guard<std::mutex> lock(shard->stateMutex);
+        total += shard->states.namespaceStats(modelVersion);
     }
     return total;
 }

@@ -15,6 +15,13 @@
  * model versions share one cache without ever serving each other's
  * latents: a hot-swapped version gets a fresh namespace and the old
  * version's entries simply age out of the LRU.
+ *
+ * Beside the latents, every partition keeps a second LRU of exact
+ * fp32 tree-LSTM subtree states keyed by (model version, Merkle
+ * digest of the subtree): what the hash-consed encoder reads instead
+ * of recomputing a subtree it has seen before (model/
+ * subtree_store.hh). Both LRUs are one template, so namespaces,
+ * counters and eviction behave identically.
  */
 
 #ifndef CCSA_SERVE_ENCODING_CACHE_HH
@@ -28,39 +35,15 @@
 #include <vector>
 
 #include "ast/ast.hh"
+#include "model/subtree_store.hh"
 #include "serve/latent_codec.hh"
 #include "tensor/tensor.hh"
 
 namespace ccsa
 {
 
-/** 128-bit structural digest of an AST. */
-struct AstDigest
-{
-    std::uint64_t lo = 0;
-    std::uint64_t hi = 0;
-
-    bool
-    operator==(const AstDigest& other) const
-    {
-        return lo == other.lo && hi == other.hi;
-    }
-};
-
 /** Digest the model-visible content of a tree (kinds + shape). */
 AstDigest digestAst(const Ast& ast);
-
-/** Hash functor so AstDigest can key unordered containers. */
-struct AstDigestHash
-{
-    std::size_t
-    operator()(const AstDigest& d) const
-    {
-        // lo is already a well-mixed 64-bit hash; fold hi in.
-        return static_cast<std::size_t>(
-            d.lo ^ (d.hi * 0x9E3779B97F4A7C15ULL));
-    }
-};
 
 /**
  * Full cache key: which model version encoded the latent, and the
@@ -103,53 +86,126 @@ struct EncodingKeyHash
  */
 std::uint64_t allocateModelNamespace();
 
+/** Running hit/miss/eviction counters of one LRU (all namespaces). */
+struct LruStats
+{
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t evictions = 0;
+};
+
+/** Per-model-version counters, plus that version's resident entry
+ * count (evictions are attributed to the namespace of the evicted
+ * entry, so per-namespace rows partition the global counters
+ * exactly). Rows for long-retired, fully-evicted namespaces are
+ * garbage-collected once the map far outgrows the cache capacity, so
+ * continuous hot-swap cannot grow it without bound. */
+struct LruNamespaceStats
+{
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t evictions = 0;
+    std::size_t residents = 0;
+    /** Payload bytes of this namespace's resident entries AS STORED
+     * — for latents the compressed size under fp16/int8, element
+     * count * sizeof(float) under fp32 (excludes map/list overhead).
+     * What the metrics plane exports as ccsa_cache_resident_bytes
+     * (ccsa_subtree_store_resident_bytes for subtree states). */
+    std::size_t residentBytes = 0;
+
+    LruNamespaceStats&
+    operator+=(const LruNamespaceStats& o)
+    {
+        hits += o.hits;
+        misses += o.misses;
+        evictions += o.evictions;
+        residents += o.residents;
+        residentBytes += o.residentBytes;
+        return *this;
+    }
+};
+
 /**
- * Least-recently-used map from EncodingKey to encoded latent (a
- * 1 x d row vector). Not internally synchronised: callers go through
- * ShardedEncodingCache, which wraps each partition in its own mutex.
- * Lookup and insert are NOT one atomic unit there — two engines can
- * miss on the same key and both encode it, a benign duplicate since
- * encoding is deterministic and the last insert wins with an
- * identical latent.
+ * Least-recently-used map from EncodingKey to a stored value — the
+ * one LRU behind both serving stores (encoded latents and subtree
+ * states). Value must expose payloadBytes(). Not internally
+ * synchronised: callers go through ShardedEncodingCache, which wraps
+ * each partition in its own mutex. Lookup and insert are NOT one
+ * atomic unit there — two engines can miss on the same key and both
+ * encode it, a benign duplicate since encoding is deterministic and
+ * the last insert wins with an identical value.
  */
-class EncodingCache
+template <class Value>
+class LruCache
 {
   public:
-    /** Running hit/miss/eviction counters (all namespaces). */
-    struct Stats
+    using Stats = LruStats;
+    using NamespaceStats = LruNamespaceStats;
+
+    /** @param capacity maximum resident entries (>= 1). */
+    explicit LruCache(std::size_t capacity);
+
+    /**
+     * Look up a key, counting the hit or miss and refreshing recency
+     * on a hit. @return the resident value, valid until the next
+     * mutating call, or nullptr on a miss.
+     */
+    const Value* find(const EncodingKey& key);
+
+    /**
+     * Insert (or overwrite) an entry, evicting the least recently
+     * used entries when over capacity. Eviction is capacity-global:
+     * a hot namespace can push a cold one's entries out, which is
+     * the intended behaviour for retired model versions.
+     */
+    void insert(const EncodingKey& key, Value value);
+
+    /** Drop every entry (counters are preserved). */
+    void clear();
+
+    /** Drop one namespace's entries (counters preserved). */
+    void clearNamespace(std::uint64_t modelVersion);
+
+    std::size_t size() const { return entries_.size(); }
+    std::size_t capacity() const { return capacity_; }
+    const Stats& stats() const { return stats_; }
+
+    /** Payload bytes of every resident entry (all namespaces). */
+    std::size_t residentBytes() const { return residentBytes_; }
+
+    /** One namespace's counters (zeros for an unseen namespace). */
+    NamespaceStats namespaceStats(std::uint64_t modelVersion) const;
+
+  private:
+    struct Entry
     {
-        std::uint64_t hits = 0;
-        std::uint64_t misses = 0;
-        std::uint64_t evictions = 0;
+        EncodingKey key;
+        Value value;
     };
 
-    /** Per-model-version counters, plus that version's resident
-     * entry count (evictions are attributed to the namespace of the
-     * evicted entry, so per-namespace rows partition the global
-     * counters exactly). Rows for long-retired, fully-evicted
-     * namespaces are garbage-collected once the map far outgrows the
-     * cache capacity, so continuous hot-swap cannot grow it without
-     * bound. */
-    struct NamespaceStats
-    {
-        std::uint64_t hits = 0;
-        std::uint64_t misses = 0;
-        std::uint64_t evictions = 0;
-        std::size_t residents = 0;
-        /** Payload bytes of this namespace's resident latents AS
-         * STORED — the compressed size under fp16/int8, element
-         * count * sizeof(float) under fp32 (excludes map/list
-         * overhead). What the metrics plane exports as
-         * ccsa_cache_resident_bytes. */
-        std::size_t residentBytes = 0;
-    };
+    /** Front = most recently used. */
+    std::list<Entry> order_;
+    std::unordered_map<EncodingKey, typename std::list<Entry>::iterator,
+                       EncodingKeyHash> entries_;
+    std::size_t capacity_;
+    Stats stats_;
+    std::size_t residentBytes_ = 0;
+    std::unordered_map<std::uint64_t, NamespaceStats> perNamespace_;
+};
 
+/**
+ * LRU of encoded latents (1 x d row vectors) at a storage precision:
+ * fp16/int8 entries are quantized on insert and dequantized on hit
+ * (see latent_codec.hh).
+ */
+class EncodingCache : public LruCache<StoredLatent>
+{
+  public:
     /**
      * @param capacity maximum resident entries (>= 1).
      * @param precision storage precision for resident latents;
-     * fp16/int8 entries are quantized on insert and dequantized on
-     * hit (see latent_codec.hh), trading ~1e-3 relative error for
-     * 2-4x more trees resident at the same memory.
+     * trading ~1e-3 relative error for 2-4x more trees resident at
+     * the same memory.
      */
     explicit EncodingCache(
         std::size_t capacity,
@@ -165,44 +221,26 @@ class EncodingCache
      */
     bool lookup(const EncodingKey& key, Tensor* out = nullptr);
 
-    /**
-     * Insert (or overwrite) an entry, evicting the least recently
-     * used entries when over capacity. Eviction is capacity-global:
-     * a hot namespace can push a cold one's entries out, which is
-     * the intended behaviour for retired model versions.
-     */
+    /** Quantize and insert (or overwrite) a latent. */
     void insert(const EncodingKey& key, Tensor latent);
 
-    /** Drop every entry (counters are preserved). */
-    void clear();
-
-    /** Drop one namespace's entries (counters preserved). */
-    void clearNamespace(std::uint64_t modelVersion);
-
-    std::size_t size() const { return entries_.size(); }
-    std::size_t capacity() const { return capacity_; }
     LatentPrecision precision() const { return precision_; }
-    const Stats& stats() const { return stats_; }
-
-    /** One namespace's counters (zeros for an unseen namespace). */
-    NamespaceStats namespaceStats(std::uint64_t modelVersion) const;
 
   private:
-    struct Entry
-    {
-        EncodingKey key;
-        /** Cache-resident form; decoded on hit. */
-        StoredLatent stored;
-    };
-
-    /** Front = most recently used. */
-    std::list<Entry> order_;
-    std::unordered_map<EncodingKey, std::list<Entry>::iterator,
-                       EncodingKeyHash> entries_;
-    std::size_t capacity_;
     LatentPrecision precision_;
-    Stats stats_;
-    std::unordered_map<std::uint64_t, NamespaceStats> perNamespace_;
+};
+
+/** Exact fp32 tree-LSTM states of one subtree (the layout of
+ * SubtreeStateStore). */
+struct SubtreeState
+{
+    std::vector<float> values;
+
+    std::size_t
+    payloadBytes() const
+    {
+        return values.size() * sizeof(float);
+    }
 };
 
 /**
@@ -305,11 +343,27 @@ class ShardedEncodingCache
      * partition's LRU entries when it is over capacity. */
     void insert(const EncodingKey& key, Tensor latent);
 
-    /** Drop every entry in every partition (counters preserved). */
+    /**
+     * Subtree-state store: copy the states stored under `key` into
+     * `out` under the owning partition's lock. @return false on a
+     * miss (or a block of another size).
+     */
+    bool lookupState(const EncodingKey& key, float* out,
+                     std::size_t count);
+
+    /** Insert (or overwrite) a subtree's states on its owning
+     * partition, evicting that partition's least recently used
+     * states when over budget. */
+    void insertState(const EncodingKey& key, const float* states,
+                     std::size_t count);
+
+    /** Drop every latent and subtree state in every partition
+     * (counters preserved). */
     void clear();
 
-    /** Drop one namespace's entries everywhere (counters
-     * preserved) — e.g. after mutating a model's weights in place. */
+    /** Drop one namespace's latents and subtree states everywhere
+     * (counters preserved) — e.g. after mutating a model's weights
+     * in place. */
     void clearNamespace(std::uint64_t modelVersion);
 
     /** @return total resident entries across all partitions. */
@@ -331,18 +385,31 @@ class ShardedEncodingCache
     EncodingCache::NamespaceStats
     namespaceStats(std::uint64_t modelVersion) const;
 
+    /** @return subtree-state store counters, resident entries and
+     * bytes: all partitions, one partition, or one namespace. */
+    LruNamespaceStats stateStats() const;
+    LruNamespaceStats stateShardStats(std::size_t shard) const;
+    LruNamespaceStats stateNamespaceStats(std::uint64_t modelVersion) const;
+
     std::size_t numShards() const { return shards_.size(); }
     std::size_t capacityPerShard() const { return capacityPerShard_; }
     LatentPrecision precision() const { return precision_; }
 
   private:
+    /** One partition: the latent LRU and, under its own lock so
+     * state traffic never stalls a latent hit, the subtree-state
+     * LRU. The state budget equals the latent capacity in entries,
+     * and the two evict independently: state churn can never push
+     * out a resident latent. */
     struct Shard
     {
         mutable std::mutex mutex;
         EncodingCache cache;
+        mutable std::mutex stateMutex;
+        LruCache<SubtreeState> states;
 
         Shard(std::size_t capacity, LatentPrecision precision)
-            : cache(capacity, precision)
+            : cache(capacity, precision), states(capacity)
         {
         }
     };
@@ -365,6 +432,41 @@ class ShardedEncodingCache
         std::uint64_t id = 0;
     };
     std::unordered_map<const void*, NamespaceEntry> namespaces_;
+};
+
+/**
+ * One model namespace of a cache's subtree-state store, as the
+ * encoder sees it. Engines sharing a cache share its states the way
+ * they share its latents; another namespace can never read them.
+ */
+class NamespaceStateStore : public SubtreeStateStore
+{
+  public:
+    NamespaceStateStore(ShardedEncodingCache& cache,
+                        std::uint64_t modelVersion)
+        : cache_(cache), modelVersion_(modelVersion)
+    {
+    }
+
+    bool
+    lookup(const AstDigest& digest, float* out,
+           std::size_t count) override
+    {
+        return cache_.lookupState(EncodingKey{modelVersion_, digest},
+                                  out, count);
+    }
+
+    void
+    insert(const AstDigest& digest, const float* states,
+           std::size_t count) override
+    {
+        cache_.insertState(EncodingKey{modelVersion_, digest}, states,
+                           count);
+    }
+
+  private:
+    ShardedEncodingCache& cache_;
+    std::uint64_t modelVersion_;
 };
 
 } // namespace ccsa

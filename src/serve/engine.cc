@@ -157,6 +157,17 @@ Engine::initMetrics()
     phaseScoreUs_ = &opts_.metrics->windowedHistogram(
         "ccsa_engine_phase_us", {{"phase", "score"}},
         WindowedHistogram::Options(), help);
+    const std::string nodesHelp =
+        "Nodes of trees the hash-consed tree-LSTM encoded, by where "
+        "their states came from (computed once per distinct subtree, "
+        "read from the subtree-state store, or repeats in one call).";
+    auto nodes = [&](const char* source) {
+        return &opts_.metrics->counter("ccsa_encode_subtree_nodes_total",
+                                       {{"source", source}}, nodesHelp);
+    };
+    nodesComputed_ = nodes("computed");
+    nodesFromStore_ = nodes("store");
+    nodesDeduped_ = nodes("dedup");
 }
 
 Result<std::shared_ptr<const ModelVersion>>
@@ -241,16 +252,21 @@ Engine::encodeBatch(const ModelVersion& version,
     }
 
     if (!miss_slots.empty()) {
+        // Forest-batch the misses: each worker encodes one
+        // contiguous chunk of distinct trees in a single
+        // level-batched wavefront, hash-consed against the cache's
+        // subtree-state store. Tree rows never mix inside a forest
+        // batch and a stored state equals a computed one bitwise, so
+        // every latent is independent of the chunking — and
+        // therefore of the thread count — and of the store's
+        // contents.
+        std::size_t workers = static_cast<std::size_t>(
+            std::max(1, pool_.workerCount()));
+        std::size_t chunks = std::min(miss_slots.size(), workers);
+        std::size_t per = (miss_slots.size() + chunks - 1) / chunks;
+        std::vector<SubtreeReuse> reuse(chunks);
         try {
-            // Forest-batch the misses: each worker encodes one
-            // contiguous chunk of distinct trees in a single
-            // level-batched wavefront. Tree rows never mix inside a
-            // forest batch, so every latent is independent of the
-            // chunking — and therefore of the thread count.
-            std::size_t workers = static_cast<std::size_t>(
-                std::max(1, pool_.workerCount()));
-            std::size_t chunks = std::min(miss_slots.size(), workers);
-            std::size_t per = (miss_slots.size() + chunks - 1) / chunks;
+            NamespaceStateStore store(*cache_, version.id);
             pool_.parallelFor(chunks, [&](std::size_t ci) {
                 std::size_t lo = ci * per;
                 std::size_t hi =
@@ -268,7 +284,8 @@ Engine::encodeBatch(const ModelVersion& version,
                 // out of the arena into owned storage.
                 InferenceScope scope;
                 std::vector<ag::Var> encoded =
-                    version.model->encodeMany(chunk);
+                    version.model->encodeMany(chunk, store,
+                                              &reuse[ci]);
                 for (std::size_t i = lo; i < hi; ++i)
                     latents[miss_slots[i]] =
                         encoded[i - lo].value().toOwned();
@@ -288,8 +305,17 @@ Engine::encodeBatch(const ModelVersion& version,
                 latents[s] = decodeLatent(
                     encodeLatent(latents[s], precision));
         }
+        SubtreeReuse total;
+        for (const SubtreeReuse& r : reuse)
+            total += r;
+        if (nodesComputed_ != nullptr) {
+            nodesComputed_->inc(total.computed);
+            nodesFromStore_->inc(total.fromStore);
+            nodesDeduped_->inc(total.deduped());
+        }
         std::lock_guard<std::mutex> lock(mutex_);
         treesEncoded_ += miss_slots.size();
+        reuse_ += total;
     }
 
     std::vector<Tensor> out;
@@ -619,9 +645,16 @@ Engine::stats() const
     out.cacheMisses = cache.misses;
     out.cacheEvictions = cache.evictions;
     out.cacheSize = cache_->size();
+    LruNamespaceStats states = cache_->stateStats();
+    out.stateStoreEntries = states.residents;
+    out.stateStoreBytes = states.residentBytes;
+    out.stateStoreEvictions = states.evictions;
     std::lock_guard<std::mutex> lock(mutex_);
     out.pairsServed = pairsServed_;
     out.treesEncoded = treesEncoded_;
+    out.subtreeNodesComputed = reuse_.computed;
+    out.subtreeNodesFromStore = reuse_.fromStore;
+    out.subtreeNodesDeduped = reuse_.deduped();
     return out;
 }
 
@@ -635,6 +668,7 @@ Engine::perModelCacheStats() const
         row.versionId = v->id;
         row.sequence = v->sequence;
         row.cache = cache_->namespaceStats(v->id);
+        row.states = cache_->stateNamespaceStats(v->id);
         out.push_back(std::move(row));
     };
     if (registry_) {

@@ -46,6 +46,7 @@
 namespace ccsa
 {
 
+class Counter;
 class MetricsRegistry;
 class WindowedHistogram;
 
@@ -59,6 +60,8 @@ struct ModelCacheStats
     /** Publish sequence of the current version. */
     std::uint64_t sequence = 0;
     EncodingCache::NamespaceStats cache;
+    /** The same namespace in the subtree-state store. */
+    LruNamespaceStats states;
 };
 
 /** Batched, cached, thread-parallel serving facade. */
@@ -200,6 +203,20 @@ class Engine
         std::size_t cacheSize = 0;
         std::uint64_t pairsServed = 0;
         std::uint64_t treesEncoded = 0;
+        /** Nodes of the trees the hash-consed encoder encoded (the
+         * tape-free uni-directional tree-LSTM; zero for other
+         * encoders), by where their states came from: computed once
+         * per distinct subtree, read from the subtree-state store, or
+         * repeats of a subtree computed or read in the same call. */
+        std::uint64_t subtreeNodesComputed = 0;
+        std::uint64_t subtreeNodesFromStore = 0;
+        std::uint64_t subtreeNodesDeduped = 0;
+        /** The (possibly shared) subtree-state store beside the
+         * latent cache: resident entries, their payload bytes, and
+         * evictions. Kept apart from the latent fields above. */
+        std::size_t stateStoreEntries = 0;
+        std::size_t stateStoreBytes = 0;
+        std::uint64_t stateStoreEvictions = 0;
     };
 
     /** Default-configured engine with a fresh (untrained) model. */
@@ -267,7 +284,10 @@ class Engine
      * Encode a batch of trees, one latent row vector per input, in
      * input order. Each distinct tree (by structural digest) is
      * encoded at most once; cache hits skip encoding entirely and
-     * misses run data-parallel on the thread pool.
+     * misses run data-parallel on the thread pool. A tree-LSTM
+     * (uni-directional) miss computes only the subtrees the cache's
+     * subtree-state store does not hold, and stores the ones it
+     * computes; results do not depend on what the store holds.
      */
     Result<std::vector<Tensor>>
     encodeBatch(const std::vector<const Ast*>& trees);
@@ -443,10 +463,15 @@ class Engine
     /** Phase instruments (registry-owned; null without metrics). */
     WindowedHistogram* phaseEncodeUs_ = nullptr;
     WindowedHistogram* phaseScoreUs_ = nullptr;
+    /** ccsa_encode_subtree_nodes_total{source=...}. */
+    Counter* nodesComputed_ = nullptr;
+    Counter* nodesFromStore_ = nullptr;
+    Counter* nodesDeduped_ = nullptr;
     /** Guards the volume counters below (the cache locks itself). */
     mutable std::mutex mutex_;
     std::uint64_t pairsServed_ = 0;
     std::uint64_t treesEncoded_ = 0;
+    SubtreeReuse reuse_;
 };
 
 } // namespace ccsa

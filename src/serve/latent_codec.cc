@@ -148,8 +148,9 @@ encodeLatent(const Tensor& t, LatentPrecision precision)
         auto* scales = reinterpret_cast<float*>(s.payload.data());
         auto* codes = reinterpret_cast<std::int8_t*>(
             s.payload.data() + rows * sizeof(float));
+        const float* src = t.data();
         for (std::size_t r = 0; r < rows; ++r) {
-            const float* row = t.data() + r * cols;
+            const float* row = src + r * cols;
             float maxAbs = 0.0f;
             for (std::size_t c = 0; c < cols; ++c)
                 maxAbs = std::max(maxAbs, std::fabs(row[c]));
@@ -198,11 +199,15 @@ decodeLatent(const StoredLatent& s)
             reinterpret_cast<const float*>(s.payload.data());
         const auto* codes = reinterpret_cast<const std::int8_t*>(
             s.payload.data() + rows * sizeof(float));
-        for (std::size_t r = 0; r < rows; ++r)
+        // One data() call: made per element, its borrowed/owned
+        // branch once cost int8 hits half their rate.
+        float* dst = t.data();
+        for (std::size_t r = 0; r < rows; ++r) {
+            const float scale = scales[r];
             for (std::size_t c = 0; c < cols; ++c)
-                t.data()[r * cols + c] =
-                    static_cast<float>(codes[r * cols + c]) *
-                    scales[r];
+                dst[r * cols + c] =
+                    static_cast<float>(codes[r * cols + c]) * scale;
+        }
         break;
     }
     }

@@ -32,6 +32,13 @@ mergeServerStats(const std::vector<ServerStats>& shards)
         out.engine.cacheSize += s.engine.cacheSize;
         out.engine.pairsServed += s.engine.pairsServed;
         out.engine.treesEncoded += s.engine.treesEncoded;
+        out.engine.subtreeNodesComputed += s.engine.subtreeNodesComputed;
+        out.engine.subtreeNodesFromStore +=
+            s.engine.subtreeNodesFromStore;
+        out.engine.subtreeNodesDeduped += s.engine.subtreeNodesDeduped;
+        out.engine.stateStoreEntries += s.engine.stateStoreEntries;
+        out.engine.stateStoreBytes += s.engine.stateStoreBytes;
+        out.engine.stateStoreEvictions += s.engine.stateStoreEvictions;
         for (const TenantStats& t : s.tenants) {
             TenantStats& row = tenants[t.tenant];
             row.tenant = t.tenant;
@@ -175,6 +182,21 @@ publishServerGauges(MetricsRegistry& registry,
                    "Payload bytes of resident latents per model "
                    "namespace.")
             .set(static_cast<double>(row.cache.residentBytes));
+        registry
+            .counter("ccsa_subtree_store_evictions_total", labels,
+                     "Subtree-state store evictions attributed to "
+                     "the victim's model namespace.")
+            .increaseTo(row.states.evictions);
+        registry
+            .gauge("ccsa_subtree_store_residents", labels,
+                   "Resident subtree-state store entries per model "
+                   "namespace.")
+            .set(static_cast<double>(row.states.residents));
+        registry
+            .gauge("ccsa_subtree_store_resident_bytes", labels,
+                   "Payload bytes of resident subtree states per "
+                   "model namespace.")
+            .set(static_cast<double>(row.states.residentBytes));
     }
 }
 

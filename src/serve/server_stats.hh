@@ -131,7 +131,9 @@ struct ServerStats
 
     // ----------------------------------------------- wrapped engine
     /** Engine counters: encoding-cache hits / misses / evictions /
-     * size plus pairsServed and treesEncoded. */
+     * size plus pairsServed and treesEncoded, the hash-consed
+     * encoder's node provenance, and the subtree-state store's
+     * residency. */
     Engine::Stats engine;
 
     // ------------------------------------------------- per model
@@ -227,7 +229,8 @@ serverLatencyHistogram(MetricsRegistry& registry,
  * Publish the pull-style level metrics of one server: queue depth /
  * capacity gauges, live-model count, and per-model cache
  * hit/miss/eviction counters (monotone, via Counter::increaseTo)
- * plus resident-entries / resident-bytes gauges. Both servers'
+ * plus resident-entries / resident-bytes gauges, for the latent
+ * cache and the subtree-state store alike. Both servers'
  * sampleMetrics() forward here; wire sampleMetrics as a
  * MetricsSampler probe.
  */

@@ -767,17 +767,24 @@ ShardedServer::stats() const
         for (TenantStats& t : row.tenants)
             fillTenantPercentiles(t);
         fillLatencyPercentiles(row);
-        // Engine volume is per shard engine; cache counters are the
-        // shard's PARTITION of the shared cache, so the per-shard
-        // rows partition the aggregate exactly.
+        // Engine volume is per shard engine; cache and state-store
+        // counters are the shard's PARTITION of the shared cache, so
+        // the per-shard rows partition the aggregate exactly.
         Engine::Stats engine = worker.engine->stats();
         EncodingCache::Stats part = cache_->shardStats(s);
+        LruNamespaceStats states = cache_->stateShardStats(s);
         row.engine.treesEncoded = engine.treesEncoded;
         row.engine.pairsServed = engine.pairsServed;
+        row.engine.subtreeNodesComputed = engine.subtreeNodesComputed;
+        row.engine.subtreeNodesFromStore = engine.subtreeNodesFromStore;
+        row.engine.subtreeNodesDeduped = engine.subtreeNodesDeduped;
         row.engine.cacheHits = part.hits;
         row.engine.cacheMisses = part.misses;
         row.engine.cacheEvictions = part.evictions;
         row.engine.cacheSize = cache_->shardSize(s);
+        row.engine.stateStoreEntries = states.residents;
+        row.engine.stateStoreBytes = states.residentBytes;
+        row.engine.stateStoreEvictions = states.evictions;
         out.shards.push_back(std::move(row));
     }
 

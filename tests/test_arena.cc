@@ -409,7 +409,12 @@ TEST(InferenceScope, GcnAndTokenLstmEncodersMatchTapedBitwise)
 // ------------------------------------------------------------------
 // Steady-state allocation pin
 
-TEST(InferenceScope, WarmScopeEncodesWithZeroTensorAllocations)
+class WarmScopeAllocationTest
+    : public ::testing::TestWithParam<nn::TreeArch>
+{
+};
+
+TEST_P(WarmScopeAllocationTest, WarmScopeEncodesWithZeroTensorAllocations)
 {
     std::vector<Ast> progs;
     progs.push_back(tinyProgram(2));
@@ -418,11 +423,13 @@ TEST(InferenceScope, WarmScopeEncodesWithZeroTensorAllocations)
     for (const Ast& a : progs)
         asts.push_back(&a);
 
+    // Bi runs every node through the wavefront; Uni (with no store)
+    // takes the hash-consed path.
     EncoderConfig cfg;
     cfg.embedDim = 8;
     cfg.hiddenDim = 8;
     cfg.layers = 2;
-    cfg.arch = nn::TreeArch::Bi;
+    cfg.arch = GetParam();
     ComparativePredictor model(cfg, /*seed=*/5);
 
     // Iteration 0 warms the thread arena (it may grow chunks and the
@@ -491,6 +498,10 @@ TEST(InferenceScope, WarmScopeEncodesWithZeroTensorAllocations)
         << " times vs " << taped_news << " taped";
 #endif
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    BiAndUni, WarmScopeAllocationTest,
+    ::testing::Values(nn::TreeArch::Bi, nn::TreeArch::Uni));
 
 // ------------------------------------------------------------------
 // Concurrency: two threads, two scopes, one shared model. Run under

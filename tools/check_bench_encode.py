@@ -3,7 +3,7 @@
 
 Reads the google-benchmark JSON written by
 
-    micro_ops --benchmark_filter='BM_EncodeLevelBatchedVsPerNode|BM_EncodeNoGradVsTaped|BM_MatmulKernel|BM_MatmulDispatch|BM_CacheHitByPrecision|BM_F16DecodeDispatch' \
+    micro_ops --benchmark_filter='BM_EncodeLevelBatchedVsPerNode|BM_EncodeNoGradVsTaped|BM_EncodeHashConsed|BM_MatmulKernel|BM_MatmulDispatch|BM_CacheHitByPrecision|BM_F16DecodeDispatch' \
               --benchmark_out=BENCH_encode.json --benchmark_out_format=json
 
 and fails (exit 1) when:
@@ -22,6 +22,10 @@ and fails (exit 1) when:
  - the tape-free (InferenceScope) encode loses its edge over the
    taped forward on the realistic-AST shape — the acceptance bar is
    1.3x, with loose never-slower floors on the other shapes;
+ - the hash-consed encode loses its edge over the full level-batched
+   encode: >= 3x on a commit-style child whose parent's subtree
+   states are stored, and never slower on a cold tree or a cold
+   same-family forest (only repeats inside the call are shared);
  - the F16C fp16 decode family drops below 2x the portable
    bit-twiddling oracle — skipped (with a note) when the JSON has no
    f16c row, i.e. the runner has no F16C.
@@ -53,10 +57,20 @@ FLOORS = {
 DISPATCH_FLOOR = 1.5
 
 # Quantized hit path vs fp32 hit path. Dequantize is real work, so
-# these only catch a collapse (e.g. per-hit allocation regressions).
+# fp16 only catches a collapse (e.g. per-hit allocation regressions);
+# int8 decodes one multiply per element and must stay close to fp32
+# (a per-element Tensor::data() branch once cost it ~46% unnoticed).
 CACHE_HIT_FLOORS = {
     "fp16": 0.10,
-    "int8": 0.10,
+    "int8": 0.85,
+}
+
+# Hash-consed vs full level-batched encode, per BM_EncodeHashConsed
+# row (observed ~6-9x commit, ~2x cold, ~5-6x forest).
+HASHCONS_FLOORS = {
+    "commit": 3.0,
+    "cold": 1.0,
+    "forest": 1.0,
 }
 
 # No-grad (InferenceScope) vs taped encode throughput. The ast floor
@@ -163,6 +177,17 @@ def main() -> int:
                       f"taped {taped:12.0f} nodes/s")
         ok &= bench_gate.gate_ratio(f"nograd {shape:6s}", free,
                                     taped, floor, detail)
+
+    hashcons = collect(data, "BM_EncodeHashConsed", split_label=True)
+    for row, floor in HASHCONS_FLOORS.items():
+        consed = hashcons.get((row, "hash-consed"))
+        full = hashcons.get((row, "level-batched"))
+        detail = ""
+        if consed is not None and full is not None:
+            detail = (f"hash-consed {consed:10.0f} trees/s  "
+                      f"level-batched {full:10.0f} trees/s")
+        ok &= bench_gate.gate_ratio(f"hash-consed {row:6s}", consed,
+                                    full, floor, detail)
 
     f16 = collect(data, "BM_F16DecodeDispatch")
     if f16.get("f16:f16c") is not None:

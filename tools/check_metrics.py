@@ -41,6 +41,10 @@ REQUIRED_FAMILIES = [
     "ccsa_queue_depth",
     "ccsa_cache_residents",
     "ccsa_cache_resident_bytes",
+    "ccsa_encode_subtree_nodes_total",
+    "ccsa_subtree_store_residents",
+    "ccsa_subtree_store_resident_bytes",
+    "ccsa_subtree_store_evictions_total",
     "ccsa_slo_burn_rate",
     "ccsa_trace_spans_dropped_total",
 ]
