@@ -4,10 +4,11 @@
  *
  *  1. N closed-loop clients calling the synchronous Engine one
  *     request at a time;
- *  2. the same clients submitting through AsyncServer futures with
- *     cross-request dynamic batching (one batcher thread);
+ *  2. the same clients submitting futures to a one-shard
+ *     ShardedServer, which batches across requests (one batcher
+ *     thread);
  *  3. the same clients on ShardedServer at 1/2/4/8 shards — N
- *     batcher workers over a partitioned encoding cache.
+ *     batcher threads over a partitioned encoding cache.
  *
  * A fourth measurement gates the ModelRegistry refactor: the SAME
  * single-model workload through a direct Engine vs a
@@ -17,7 +18,7 @@
  * anything below that means the resolution leaked into a hot loop.
  *
  * A fifth measurement gates the metrics plane: the interactive
- * workload through a bare AsyncServer vs one with the full
+ * workload through a bare one-shard server vs one with the full
  * MetricsRegistry/SloTracker/sampler stack attached. Instrumented
  * serving must stay >= 0.97x bare — recording is relaxed atomics
  * outside the server's stats mutex, so a lower ratio means metrics
@@ -37,7 +38,8 @@
  * Usage: ./serve_throughput [--json BENCH_serve.json]
  * (CCSA_SCALE scales requests per client; the JSON feeds
  * tools/check_bench_serve.py, which gates sharded >= 1.5x the
- * single-batcher rate at 4 shards in CI.)
+ * one-shard rate at 4 shards in CI. Every server row reports p99_ms
+ * from its server's merged latency histogram.)
  */
 
 #include <algorithm>
@@ -53,7 +55,6 @@
 #include "base/str.hh"
 #include "base/table.hh"
 #include "frontend/parser.hh"
-#include "serve/async_server.hh"
 #include "serve/metrics/metrics.hh"
 #include "serve/metrics/metrics_sampler.hh"
 #include "serve/metrics/slo_tracker.hh"
@@ -134,17 +135,34 @@ secondsSince(std::chrono::steady_clock::time_point start)
 /** One measured configuration, also emitted as a JSON row. */
 struct BenchRow
 {
-    std::string mode; // sync|async|async_closed|sharded|ipc|
+    std::string mode; // sync|batched|sharded|ipc|
                       // engine_direct|engine_registry|
                       // tenant_solo|tenant_flood|
                       // metrics_off|metrics_on
     int clients = 0;
-    int shards = 0; // 0 for non-sharded modes
+    int shards = 0; // 0 for the serverless modes
     double pairsPerSec = 0.0;
     std::uint64_t treesEncoded = 0;
-    /** Interactive-tenant p99 latency (tenant_* rows; 0 elsewhere). */
+    /** Server rows: p99 latency from the server's merged histogram
+     * (tenant_* rows: the interactive tenant's); 0 for sync and
+     * engine_* rows, which have no server. */
     double p99Ms = 0.0;
 };
+
+/** A one-shard server configured like the serving rows: the
+ * single-batcher baseline. */
+ShardedServer::Options
+oneShard(std::chrono::microseconds maxBatchDelay)
+{
+    // Encoder threads follow servingOptions() (hardware count), as
+    // the engine of a lone batcher would.
+    return ShardedServer::Options()
+        .withNumShards(1)
+        .withThreadsPerShard(servingOptions().threads)
+        .withQueueCapacity(1024)
+        .withMaxBatchSize(256)
+        .withMaxBatchDelay(maxBatchDelay);
+}
 
 /** Drive a deep-pipelining client fleet: every request is submitted
  * up front, then all futures are drained. Batches grow as large as
@@ -256,7 +274,7 @@ main(int argc, char** argv)
 
     std::printf("=====================================================\n");
     std::printf("ccsa bench: serve_throughput\n");
-    std::printf("sync Engine vs AsyncServer vs ShardedServer\n");
+    std::printf("sync Engine vs one-shard vs N-shard ShardedServer\n");
     std::printf("scale: CCSA_SCALE=%.2f (set >1 for longer runs)\n",
                 envScale());
     std::printf("=====================================================\n");
@@ -276,10 +294,10 @@ main(int argc, char** argv)
 
     std::vector<BenchRow> rows;
 
-    // ------------------------------------------- sync vs async sweep
-    TextTable table({"clients", "sync pairs/s", "async pairs/s",
-                     "speedup", "sync encodes", "async encodes",
-                     "batches", "mean batch"});
+    // ----------------------------------------- sync vs batched sweep
+    TextTable table({"clients", "sync pairs/s", "batched pairs/s",
+                     "speedup", "sync encodes", "batched encodes",
+                     "batches", "mean batch", "p99 ms"});
     const int gateClients = 8;
 
     for (int clients : {1, 2, 4, 8}) {
@@ -323,58 +341,54 @@ main(int argc, char** argv)
         rows.push_back(BenchRow{"sync", clients, 0, syncRate,
                                 syncEncoded});
 
-        // ---- async: one batcher coalescing across every client.
-        double asyncRate = 0.0;
-        std::uint64_t asyncEncoded = 0;
-        std::uint64_t batches = 0;
-        double meanBatch = 0.0;
+        // ---- batched: one batcher coalescing across every client.
+        double batchedRate = 0.0;
+        ServerStats stats;
         {
-            Engine engine(servingOptions());
-            AsyncServer server(
-                engine, AsyncServer::Options()
-                            .withQueueCapacity(1024)
-                            .withMaxBatchSize(256)
-                            .withMaxBatchDelay(
-                                std::chrono::microseconds(1000)));
-            asyncRate = runPipelinedClients(
+            ShardedServer server(
+                servingOptions(),
+                oneShard(std::chrono::microseconds(1000)));
+            batchedRate = runPipelinedClients(
                 clients, streams, pool,
                 [&server](const Ast& a, const Ast& b) {
                     return server.submitCompare(a, b);
                 });
-            ServerStats stats = server.stats();
-            asyncEncoded = stats.engine.treesEncoded;
-            batches = stats.batches;
-            meanBatch = stats.batchSizes.meanValue();
+            stats = server.stats().aggregate;
         }
-        rows.push_back(BenchRow{"async", clients, 0, asyncRate,
-                                asyncEncoded});
+        rows.push_back(BenchRow{"batched", clients, 1, batchedRate,
+                                stats.engine.treesEncoded,
+                                stats.latencyP99Ms});
 
         char speedup[32];
         std::snprintf(speedup, sizeof(speedup), "%.2fx",
-                      asyncRate / syncRate);
+                      batchedRate / syncRate);
         char meanBatchStr[32];
         std::snprintf(meanBatchStr, sizeof(meanBatchStr), "%.1f",
-                      meanBatch);
+                      stats.batchSizes.meanValue());
+        char p99[32];
+        std::snprintf(p99, sizeof(p99), "%.2f", stats.latencyP99Ms);
         table.addRow({std::to_string(clients),
                       std::to_string(static_cast<long>(syncRate)),
-                      std::to_string(static_cast<long>(asyncRate)),
+                      std::to_string(static_cast<long>(batchedRate)),
                       speedup, std::to_string(syncEncoded),
-                      std::to_string(asyncEncoded),
-                      std::to_string(batches), meanBatchStr});
+                      std::to_string(stats.engine.treesEncoded),
+                      std::to_string(stats.batches), meanBatchStr,
+                      p99});
     }
 
     table.print(std::cout);
-    std::printf("\nasync wins by encoding each distinct tree once per"
-                " coalesced batch,\nwhere the thrashing synchronous"
-                " cache re-encodes almost every request.\n");
+    std::printf("\nbatching wins by encoding each distinct tree once"
+                " per coalesced batch,\nwhere the thrashing"
+                " synchronous cache re-encodes almost every"
+                " request.\n");
 
     // -------------------------- sharded scaling, interactive clients
     // Depth-1 closed-loop clients: batches are capped at one pair
     // per client, so the giant pipelined batches above cannot form
     // and the single 12-entry cache thrashes against the 48-tree
     // pool. This is the latency-bound serving regime sharding is
-    // for; the AsyncServer row below is the single-batcher baseline
-    // under the SAME client behaviour.
+    // for; the 1-shard row is the single-batcher baseline under the
+    // SAME client behaviour.
     std::printf("\ninteractive clients (1 outstanding request each), "
                 "%d clients:\n\n",
                 gateClients);
@@ -383,32 +397,9 @@ main(int argc, char** argv)
         streams.push_back(
             clientStream(c, requestsPerClient, poolSize));
 
-    double asyncClosedRate = 0.0;
-    std::uint64_t asyncClosedEncoded = 0;
-    {
-        Engine engine(servingOptions());
-        AsyncServer server(
-            engine, AsyncServer::Options()
-                        .withQueueCapacity(1024)
-                        .withMaxBatchSize(256)
-                        .withMaxBatchDelay(
-                            std::chrono::microseconds(200)));
-        asyncClosedRate = runClosedLoopClients(
-            gateClients, streams, pool,
-            [&server](const Ast& a, const Ast& b) {
-                return server.submitCompare(a, b);
-            });
-        asyncClosedEncoded = server.stats().engine.treesEncoded;
-    }
-    rows.push_back(BenchRow{"async_closed", gateClients, 0,
-                            asyncClosedRate, asyncClosedEncoded});
-    std::printf("single batcher (AsyncServer): %ld pairs/s, %llu"
-                " trees encoded\n\n",
-                static_cast<long>(asyncClosedRate),
-                static_cast<unsigned long long>(asyncClosedEncoded));
-
-    TextTable shardTable({"shards", "pairs/s", "vs 1 batcher",
+    TextTable shardTable({"shards", "pairs/s", "vs 1 shard",
                           "encodes", "cache resident", "p99 ms"});
+    double oneShardRate = 0.0;
     for (int shards : {1, 2, 4, 8}) {
         ShardedServer server(
             servingOptions(),
@@ -425,17 +416,20 @@ main(int argc, char** argv)
             });
         ShardedServerStats stats = server.stats();
         rows.push_back(BenchRow{"sharded", gateClients, shards, rate,
-                                stats.aggregate.engine.treesEncoded});
+                                stats.aggregate.engine.treesEncoded,
+                                stats.aggregate.latencyP99Ms});
+        if (shards == 1)
+            oneShardRate = rate;
 
-        char vsAsync[32];
-        std::snprintf(vsAsync, sizeof(vsAsync), "%.2fx",
-                      rate / asyncClosedRate);
+        char vsOne[32];
+        std::snprintf(vsOne, sizeof(vsOne), "%.2fx",
+                      rate / oneShardRate);
         char p99[32];
         std::snprintf(p99, sizeof(p99), "%.2f",
                       stats.aggregate.latencyP99Ms);
         shardTable.addRow(
             {std::to_string(shards),
-             std::to_string(static_cast<long>(rate)), vsAsync,
+             std::to_string(static_cast<long>(rate)), vsOne,
              std::to_string(stats.aggregate.engine.treesEncoded),
              std::to_string(server.cache().size()) + "/" +
                  std::to_string(server.cache().numShards() *
@@ -486,8 +480,9 @@ main(int argc, char** argv)
             [&server](const Ast& a, const Ast& b) {
                 return server.submitCompare(a, b);
             });
-        rows.push_back(
-            BenchRow{"ipc", gateClients, ipcShards, ipcRate, 0});
+        rows.push_back(BenchRow{
+            "ipc", gateClients, ipcShards, ipcRate, 0,
+            server.stats().aggregate.latencyP99Ms});
         std::printf(
             "\nprocess-sharded serving (%d crash-isolated worker"
             " processes):\n  ipc %10.0f pairs/s  (%.2fx in-process"
@@ -565,7 +560,7 @@ main(int argc, char** argv)
     }
 
     // ------------------ admission control: noisy-neighbor isolation
-    // Two tenants share one AsyncServer. "fg" is an interactive
+    // Two tenants share one one-shard server. "fg" is an interactive
     // closed-loop fleet; "bulk" floods quota-capped batch-class
     // compareMany traffic from a free-running thread. The token
     // bucket sheds the flood at submit time and the two-lane batcher
@@ -586,14 +581,10 @@ main(int argc, char** argv)
             // is rejected before it can touch the queue.
             admission.setQuota(
                 "bulk", AdmissionController::Quota{500.0, 32.0});
-            Engine engine(servingOptions());
-            AsyncServer server(
-                engine, AsyncServer::Options()
-                            .withQueueCapacity(1024)
-                            .withMaxBatchSize(256)
-                            .withMaxBatchDelay(
-                                std::chrono::microseconds(200))
-                            .withAdmission(&admission));
+            ShardedServer server(
+                servingOptions(),
+                oneShard(std::chrono::microseconds(200))
+                    .withAdmission(&admission));
             std::atomic<bool> stop{false};
             std::thread flooder;
             if (flood)
@@ -644,7 +635,7 @@ main(int argc, char** argv)
             stop.store(true, std::memory_order_relaxed);
             if (flooder.joinable())
                 flooder.join();
-            ServerStats stats = server.stats();
+            ServerStats stats = server.stats().aggregate;
             p99Ms = 0.0;
             for (const TenantStats& t : stats.tenants)
                 if (t.tenant == "fg")
@@ -662,9 +653,9 @@ main(int argc, char** argv)
             runTenantScenario(false, soloP99, soloShed);
         double floodRate =
             runTenantScenario(true, floodP99, floodShed);
-        rows.push_back(BenchRow{"tenant_solo", fgClients, 0, soloRate,
+        rows.push_back(BenchRow{"tenant_solo", fgClients, 1, soloRate,
                                 0, soloP99});
-        rows.push_back(BenchRow{"tenant_flood", fgClients, 0,
+        rows.push_back(BenchRow{"tenant_flood", fgClients, 1,
                                 floodRate, 0, floodP99});
         std::printf(
             "\nnoisy neighbor (%d interactive clients, quota-capped"
@@ -679,7 +670,7 @@ main(int argc, char** argv)
 
     // -------------------- metrics overhead: instrumented vs bare
     // The same interactive closed-loop workload through two
-    // identically configured AsyncServers: one bare, one with the
+    // identically configured one-shard servers: one bare, one with the
     // full metrics plane attached (engine phase histograms,
     // per-request latency histograms, SLO tracking, and a 100 ms
     // background sampler sweeping gauges the whole run). Recording
@@ -687,7 +678,8 @@ main(int argc, char** argv)
     // stats mutex, so the instrumented path must stay >= 0.97x
     // bare (gated by tools/check_bench_serve.py).
     {
-        auto runMetricsScenario = [&](bool instrumented) {
+        auto runMetricsScenario = [&](bool instrumented,
+                                      double& p99Ms) {
             MetricsRegistry metrics;
             SloTracker slo(metrics);
             slo.setObjective("model", "",
@@ -696,18 +688,14 @@ main(int argc, char** argv)
             MetricsSampler sampler(
                 metrics, MetricsSampler::Options().withPeriod(
                              std::chrono::milliseconds(100)));
-            Engine engine(instrumented
-                              ? servingOptions().withMetrics(&metrics)
-                              : servingOptions());
-            AsyncServer::Options opts =
-                AsyncServer::Options()
-                    .withQueueCapacity(1024)
-                    .withMaxBatchSize(256)
-                    .withMaxBatchDelay(
-                        std::chrono::microseconds(200));
+            ShardedServer::Options opts =
+                oneShard(std::chrono::microseconds(200));
             if (instrumented)
-                opts = opts.withMetrics(&metrics).withSlo(&slo);
-            AsyncServer server(engine, opts);
+                opts.withMetrics(&metrics).withSlo(&slo);
+            ShardedServer server(
+                instrumented ? servingOptions().withMetrics(&metrics)
+                             : servingOptions(),
+                opts);
             if (instrumented) {
                 sampler.addProbe(
                     [&server] { server.sampleMetrics(); });
@@ -720,15 +708,17 @@ main(int argc, char** argv)
                     return server.submitCompare(a, b);
                 });
             sampler.stop();
+            p99Ms = server.stats().aggregate.latencyP99Ms;
             return rate;
         };
 
-        double offRate = runMetricsScenario(false);
-        double onRate = runMetricsScenario(true);
-        rows.push_back(BenchRow{"metrics_off", gateClients, 0,
-                                offRate, 0});
-        rows.push_back(BenchRow{"metrics_on", gateClients, 0, onRate,
-                                0});
+        double offP99 = 0.0, onP99 = 0.0;
+        double offRate = runMetricsScenario(false, offP99);
+        double onRate = runMetricsScenario(true, onP99);
+        rows.push_back(BenchRow{"metrics_off", gateClients, 1,
+                                offRate, 0, offP99});
+        rows.push_back(BenchRow{"metrics_on", gateClients, 1, onRate,
+                                0, onP99});
         std::printf(
             "\nmetrics overhead (%d interactive clients, full"
             " instrumentation):\n  metrics off %10.0f pairs/s\n"

@@ -1,15 +1,15 @@
 /**
  * @file
- * Serving daemon: the shape of a production deployment of ccsa. An
- * AsyncServer wraps an Engine; concurrent client threads submit
- * comparisons and ranking tournaments as futures; the batcher
- * coalesces everything in flight into shared encoding batches. On
- * exit the daemon drains cleanly and prints the ServerStats snapshot
- * an operator would scrape (queue pressure, batch-size histogram,
- * latency percentiles, cache counters).
+ * Serving daemon: the shape of a production deployment of ccsa. A
+ * one-shard ShardedServer serves one engine; concurrent client
+ * threads submit comparisons and ranking tournaments as futures; the
+ * shard coalesces everything in flight into shared encoding batches.
+ * On exit the daemon drains cleanly and prints the ServerStats
+ * snapshot an operator would scrape (queue pressure, batch-size
+ * histogram, latency percentiles, cache counters).
  *
  * The second half shows the next rungs of the ladder: the same
- * traffic on a ShardedServer — N batcher workers over a partitioned
+ * traffic on four shards — N batcher threads over a partitioned
  * encoding cache — with the per-shard stats rows an operator would
  * use to spot a hot shard; then multi-model serving through a
  * ModelRegistry: two problem-family models behind one sharded
@@ -34,9 +34,11 @@
  * Usage: ./serving_daemon [--trace trace.json]
  *                         [--metrics-out metrics.prom]
  *        ./serving_daemon --ipc [--fault-inject SPEC]
+ *                         [--trace trace.json]
  *                         [--metrics-out metrics.prom]
- * (--trace exports the [6/7] demo's spans as chrome-trace JSON;
- * tools/check_trace.py validates the file and CI runs it.
+ * (--trace exports the [6/7] demo's spans — in --ipc mode, every
+ * request's — as chrome-trace JSON; tools/check_trace.py validates
+ * the file and CI runs it on both modes.
  * --metrics-out dumps the Prometheus-text exposition after every
  * sampler sweep, plus a mid-run scrape at <path>.1 and the final
  * scrape at <path>; tools/check_metrics.py validates the pair.
@@ -58,7 +60,6 @@
 
 #include "base/rng.hh"
 #include "serve/admission/admission_controller.hh"
-#include "serve/async_server.hh"
 #include "serve/ipc/process_sharded_server.hh"
 #include "serve/metrics/metrics.hh"
 #include "serve/metrics/metrics_sampler.hh"
@@ -97,7 +98,7 @@ makeVariant(int loops, int pad)
  * "no request is ever lost" contract, checked from the outside.
  */
 int
-runIpcMode(const std::string& faultSpec,
+runIpcMode(const std::string& faultSpec, const std::string& tracePath,
            const std::string& metricsPath)
 {
     std::printf("=== ccsa serving daemon (--ipc) ===\n\n");
@@ -110,6 +111,7 @@ runIpcMode(const std::string& faultSpec,
         variants.push_back(makeVariant(v % 6 + 1, v / 6));
 
     MetricsRegistry metrics;
+    TraceRecorder trace;
     EncoderConfig cfg;
     cfg.embedDim = 24;
     cfg.hiddenDim = 32;
@@ -122,6 +124,7 @@ runIpcMode(const std::string& faultSpec,
                    .withMaxBatchSize(128)
                    .withMaxBatchDelay(std::chrono::microseconds(800))
                    .withMetrics(&metrics)
+                   .withTrace(tracePath.empty() ? nullptr : &trace)
                    .withFault(faultSpec, /*shard=*/0));
 
     // 4 clients x 40 requests; every 10th request carries a
@@ -210,6 +213,11 @@ runIpcMode(const std::string& faultSpec,
                 conserved ? "OK" : "VIOLATED");
     std::printf("worker restarts: %llu\n",
                 static_cast<unsigned long long>(restarts));
+    if (!tracePath.empty()) {
+        Status wrote = trace.writeJson(tracePath);
+        std::printf("wrote %s: %zu spans%s\n", tracePath.c_str(),
+                    trace.spanCount(), wrote.isOk() ? "" : " FAILED");
+    }
 
     bool everyFutureResolved =
         resolved.load() == kClients * kRequests;
@@ -240,23 +248,24 @@ main(int argc, char** argv)
             faultSpec = argv[a + 1];
     }
     if (ipcMode)
-        return runIpcMode(faultSpec, metricsPath);
+        return runIpcMode(faultSpec, tracePath, metricsPath);
 
     std::printf("=== ccsa serving daemon ===\n\n");
 
-    // 1. One engine, one async front. Tuning knobs: maxBatchSize
+    // 1. One engine behind one shard. Tuning knobs: maxBatchSize
     //    bounds per-tick work, maxBatchDelay bounds added latency,
     //    queueCapacity bounds memory (backpressure beyond it).
-    Engine engine(Engine::Options()
-                      .withEmbedDim(24)
-                      .withHiddenDim(32)
-                      .withThreads(0)
-                      .withCacheCapacity(4096));
-    AsyncServer server(
-        engine, AsyncServer::Options()
-                    .withQueueCapacity(512)
-                    .withMaxBatchSize(128)
-                    .withMaxBatchDelay(std::chrono::microseconds(800)));
+    ShardedServer server(
+        Engine::Options()
+            .withEmbedDim(24)
+            .withHiddenDim(32)
+            .withCacheCapacity(4096),
+        ShardedServer::Options()
+            .withNumShards(1)
+            .withThreadsPerShard(0)
+            .withQueueCapacity(512)
+            .withMaxBatchSize(128)
+            .withMaxBatchDelay(std::chrono::microseconds(800)));
 
     // 2. A library of candidate implementations clients ask about.
     std::vector<Ast> variants;
@@ -322,7 +331,7 @@ main(int argc, char** argv)
 
     // 5. The operator's view.
     std::printf("\n[3/7] server stats\n");
-    ServerStats s = server.stats();
+    ServerStats s = server.stats().aggregate;
     std::printf("      queue: depth=%zu capacity=%zu\n",
                 s.queueDepth, s.queueCapacity);
     std::printf("      requests: submitted=%llu completed=%llu "
@@ -352,11 +361,11 @@ main(int argc, char** argv)
                 static_cast<unsigned long long>(
                     s.engine.treesEncoded));
 
-    // 6. The same clients against a sharded front: four batcher
-    //    workers over one queue, each with its own engine, all
+    // 6. The same clients against four shards: four batcher
+    //    threads over one queue, each with its own engine, all
     //    sharing a 4-way partitioned encoding cache (every variant's
     //    latent lives on exactly one shard). Results are bitwise
-    //    what the AsyncServer returned above.
+    //    what the one-shard server returned above.
     std::printf("\n[4/7] sharded serving (4 workers, partitioned "
                 "cache)...\n");
     ShardedServer sharded(Engine::Options()
@@ -458,7 +467,7 @@ main(int argc, char** argv)
                     ++j;
                 if (multi
                         .submitCompare(
-                            family,
+                            SubmitOptions().withModel(family),
                             variants[static_cast<std::size_t>(i)],
                             variants[static_cast<std::size_t>(j)])
                         .get()
@@ -550,15 +559,15 @@ main(int argc, char** argv)
                                            /*burst=*/40.0});
     TraceRecorder trace;
     trace.attachMetrics(&metrics);
-    Engine tenantEngine(Engine::Options()
-                            .withEmbedDim(24)
-                            .withHiddenDim(32)
-                            .withThreads(0)
-                            .withCacheCapacity(4096)
-                            .withMetrics(&metrics));
-    AsyncServer tenantServer(
-        tenantEngine,
-        AsyncServer::Options()
+    ShardedServer tenantServer(
+        Engine::Options()
+            .withEmbedDim(24)
+            .withHiddenDim(32)
+            .withCacheCapacity(4096)
+            .withMetrics(&metrics),
+        ShardedServer::Options()
+            .withNumShards(1)
+            .withThreadsPerShard(0)
             .withQueueCapacity(512)
             .withMaxBatchSize(128)
             .withMaxBatchDelay(std::chrono::microseconds(200))
@@ -632,7 +641,7 @@ main(int argc, char** argv)
     checkoutClient.join();
     tenantServer.shutdown();
 
-    ServerStats ts = tenantServer.stats();
+    ServerStats ts = tenantServer.stats().aggregate;
     std::printf("      rejected: shed=%llu shutdown=%llu quota=%llu\n",
                 static_cast<unsigned long long>(
                     ts.requestsRejectedShed),
@@ -678,15 +687,15 @@ main(int argc, char** argv)
     //    promotion/rollback signal (see ROADMAP).
     std::printf("\n[7/7] windowed metrics + SLO burn rate (load "
                 "shift ages out of the window)...\n");
-    Engine canaryEngine(Engine::Options()
-                            .withEmbedDim(24)
-                            .withHiddenDim(32)
-                            .withThreads(0)
-                            .withCacheCapacity(4096)
-                            .withMetrics(&metrics));
-    AsyncServer canaryServer(
-        canaryEngine,
-        AsyncServer::Options()
+    ShardedServer canaryServer(
+        Engine::Options()
+            .withEmbedDim(24)
+            .withHiddenDim(32)
+            .withCacheCapacity(4096)
+            .withMetrics(&metrics),
+        ShardedServer::Options()
+            .withNumShards(1)
+            .withThreadsPerShard(0)
             .withQueueCapacity(512)
             .withMaxBatchSize(64)
             .withMaxBatchDelay(std::chrono::microseconds(100))
@@ -755,7 +764,7 @@ main(int argc, char** argv)
     canaryServer.shutdown();
 
     WindowedHistogram& canaryLat = serverLatencyHistogram(
-        metrics, "async", "model", "canary", Priority::kInteractive,
+        metrics, "sharded", "model", "canary", Priority::kInteractive,
         demoWindow);
     auto coolNow = std::chrono::steady_clock::now();
     Histogram windowHist = canaryLat.window(coolNow);

@@ -20,9 +20,9 @@
  *  - Drain, not shed: items accepted before close() remain poppable
  *    afterwards. pop()/popFor() return them in FIFO order and only
  *    then report exhaustion (nullopt). "Accepted" is the commitment
- *    point — AsyncServer, ShardedServer, and ProcessShardedServer
- *    all promise that an accepted request's future resolves, and
- *    this queue is what makes that promise cheap to keep.
+ *    point — the serving front end (serve/front_end.hh) promises
+ *    that an accepted request's future resolves, and this queue is
+ *    what makes that promise cheap to keep.
  *  - Shedding is the producer's job, before the commitment point:
  *    tryPush() returning Full is the only shed signal; a request
  *    rejected there was never accepted and is not owed a drain.
@@ -34,13 +34,16 @@
 #ifndef CCSA_BASE_BOUNDED_QUEUE_HH
 #define CCSA_BASE_BOUNDED_QUEUE_HH
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <utility>
+#include <vector>
 
 namespace ccsa
 {
@@ -135,6 +138,47 @@ class BoundedQueue
             notEmpty_.notify_one();
         else
             notEmpty_.notify_all();
+        return QueuePush::Ok;
+    }
+
+    /**
+     * tryPushAll across several queues: items[i] goes to *queues[i]
+     * (a queue may appear more than once). Every target is locked in
+     * address order, so concurrent callers cannot deadlock, and the
+     * items are admitted only when EVERY target has room for its
+     * share — the all-or-nothing contract for a submitter whose
+     * shards each own a queue. Closed wins over Full, as in
+     * tryPushAll. On Ok the items are moved-from; otherwise they are
+     * left untouched.
+     */
+    static QueuePush
+    tryPushAllAcross(const std::vector<BoundedQueue*>& queues,
+                     std::vector<T>& items)
+    {
+        std::vector<BoundedQueue*> order(queues);
+        std::sort(order.begin(), order.end(),
+                  std::less<BoundedQueue*>());
+        order.erase(std::unique(order.begin(), order.end()),
+                    order.end());
+        {
+            std::vector<std::unique_lock<std::mutex>> locks;
+            locks.reserve(order.size());
+            for (BoundedQueue* q : order)
+                locks.emplace_back(q->mutex_);
+            for (BoundedQueue* q : order)
+                if (q->closed_)
+                    return QueuePush::Closed;
+            for (BoundedQueue* q : order) {
+                auto share = static_cast<std::size_t>(
+                    std::count(queues.begin(), queues.end(), q));
+                if (q->items_.size() + share > q->capacity_)
+                    return QueuePush::Full;
+            }
+            for (std::size_t i = 0; i < items.size(); ++i)
+                queues[i]->items_.push_back(std::move(items[i]));
+        }
+        for (BoundedQueue* q : order)
+            q->notEmpty_.notify_all();
         return QueuePush::Ok;
     }
 

@@ -84,7 +84,36 @@ isAssignToken(TokenKind t)
     return assignOpFor(t) != NodeKind::Root;
 }
 
+/**
+ * Deepest nesting of statements, expressions and unary operands the
+ * parser accepts. The recursive descent uses a few stack frames per
+ * level, so a bound keeps hostile input (100k nested parentheses)
+ * from overflowing the stack; 1,000 leaves a wide margin even under
+ * a sanitizer's larger frames, and far exceeds real programs.
+ */
+constexpr int kMaxNestingDepth = 1000;
+
 } // namespace
+
+class Parser::Nesting
+{
+  public:
+    explicit Nesting(Parser& parser) : parser_(parser)
+    {
+        if (++parser_.depth_ > kMaxNestingDepth)
+            fatal("parse error at line ", parser_.peek().line,
+                  ", col ", parser_.peek().col,
+                  ": nesting deeper than ", kMaxNestingDepth);
+    }
+
+    ~Nesting() { --parser_.depth_; }
+
+    Nesting(const Nesting&) = delete;
+    Nesting& operator=(const Nesting&) = delete;
+
+  private:
+    Parser& parser_;
+};
 
 Parser::Parser(std::vector<Token> tokens)
     : tokens_(std::move(tokens))
@@ -338,6 +367,7 @@ Parser::parseBlock(Ast& ast, int parent)
 int
 Parser::parseStatement(Ast& ast, int parent)
 {
+    Nesting level(*this);
     switch (peek().kind) {
       case TokenKind::LBrace:
         return parseBlock(ast, parent);
@@ -504,6 +534,9 @@ Parser::parseExpression(Ast& ast, int parent)
 int
 Parser::parseAssignment(Ast& ast, int parent)
 {
+    // Every nested expression (parentheses, arguments, subscripts,
+    // ternary arms, assignment right-hand sides) passes through here.
+    Nesting level(*this);
     int lhs = parseTernary(ast, parent);
     if (isAssignToken(peek().kind)) {
         NodeKind op = assignOpFor(advance().kind);
@@ -547,37 +580,24 @@ Parser::parseBinary(Ast& ast, int parent, int min_prec)
 int
 Parser::parseUnary(Ast& ast, int parent)
 {
+    // Unary plus leaves no node (Root = "none", as in binOpFor).
+    NodeKind op = NodeKind::Root;
     switch (peek().kind) {
-      case TokenKind::Bang: {
-        advance();
-        int node = ast.addNode(NodeKind::LogicalNot, parent);
-        parseUnary(ast, node);
-        return node;
-      }
-      case TokenKind::Minus: {
-        advance();
-        int node = ast.addNode(NodeKind::Negate, parent);
-        parseUnary(ast, node);
-        return node;
-      }
-      case TokenKind::Plus:
-        advance();
-        return parseUnary(ast, parent);
-      case TokenKind::PlusPlus: {
-        advance();
-        int node = ast.addNode(NodeKind::PreInc, parent);
-        parseUnary(ast, node);
-        return node;
-      }
-      case TokenKind::MinusMinus: {
-        advance();
-        int node = ast.addNode(NodeKind::PreDec, parent);
-        parseUnary(ast, node);
-        return node;
-      }
-      default:
-        return parsePostfix(ast, parent);
+      case TokenKind::Bang: op = NodeKind::LogicalNot; break;
+      case TokenKind::Minus: op = NodeKind::Negate; break;
+      case TokenKind::PlusPlus: op = NodeKind::PreInc; break;
+      case TokenKind::MinusMinus: op = NodeKind::PreDec; break;
+      case TokenKind::Plus: break;
+      default: return parsePostfix(ast, parent);
     }
+    // The operand nests one level below its operator.
+    Nesting level(*this);
+    advance();
+    if (op == NodeKind::Root)
+        return parseUnary(ast, parent);
+    int node = ast.addNode(op, parent);
+    parseUnary(ast, node);
+    return node;
 }
 
 int

@@ -66,8 +66,13 @@ class Parser
     int parsePostfix(Ast& ast, int parent);
     int parsePrimary(Ast& ast, int parent);
 
+    /** Holds one nesting level while a statement, expression or
+     * unary operand is being parsed; see kMaxNestingDepth. */
+    class Nesting;
+
     std::vector<Token> tokens_;
     std::size_t pos_ = 0;
+    int depth_ = 0;
 };
 
 /** Convenience: lex + parse in one call. */

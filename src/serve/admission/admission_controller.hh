@@ -1,9 +1,10 @@
 /**
  * @file
  * ccsa::AdmissionController — per-tenant token-bucket quotas at the
- * serving front door. Every submit endpoint of AsyncServer and
- * ShardedServer can be gated by one of these: a request costs as
- * many tokens as it carries pairs, each tenant owns an independent
+ * serving front door. Every submit endpoint of the serving front
+ * end (ShardedServer, ProcessShardedServer) can be gated by one of
+ * these: a request costs as many tokens as it carries pairs, each
+ * tenant owns an independent
  * bucket (configurable sustained rate and burst), and a dry bucket
  * answers the request immediately with ResourceExhausted instead of
  * letting one noisy tenant fill the shared queue and starve everyone

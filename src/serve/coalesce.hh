@@ -1,7 +1,7 @@
 /**
  * @file
- * The pop-and-coalesce machinery shared by AsyncServer's single
- * batcher and every ShardedServer worker. Exactly one implementation
+ * The pop-and-coalesce machinery every shard thread of the serving
+ * front end (serve/front_end.hh) runs. Exactly one implementation
  * exists of the subtle part — how long a batcher waits for more work
  * before executing. Since the admission-control layer that wait is
  * PRIORITY-AWARE: a Coalescer keeps a two-lane pending set inside
@@ -66,18 +66,6 @@ struct CoalescedBatch
     std::vector<Request> requests;
     /** Total pairs across all member requests. */
     std::size_t pairCount = 0;
-
-    /** The members' pairs flattened in submission order — the
-     * argument to one Engine::compareMany call. */
-    std::vector<Engine::PairRequest>
-    flattenPairs() const
-    {
-        std::vector<Engine::PairRequest> all;
-        all.reserve(pairCount);
-        for (const Request& r : requests)
-            all.insert(all.end(), r.pairs.begin(), r.pairs.end());
-        return all;
-    }
 };
 
 /** A coalesced batch partitioned into per-model-version groups. */
@@ -121,6 +109,8 @@ groupBatchByModel(const CoalescedBatch<Request>& batch)
         if (inserted) {
             out.groups.emplace_back();
             out.groups.back().version = r.version;
+            // Exact for the common single-model batch.
+            out.groups.back().pairs.reserve(batch.pairCount);
         }
         ModelBatches::Group& g = out.groups[it->second];
         out.groupOf[i] = it->second;
@@ -136,21 +126,18 @@ groupBatchByModel(const CoalescedBatch<Request>& batch)
  * (SubmitOptions::withDeadline, stamped as an absolute
  * Request::deadline at admission) expired by `now`: each expired
  * member completes with Status::DeadlineExceeded and the batch
- * shrinks in place, so an expired request is never encoded. Shared
- * by every batcher flavour (AsyncServer, ShardedServer worker,
- * ProcessShardedServer dispatcher) so "deadline bounds queue wait,
- * not execution" is implemented — and testable — exactly once.
- * `onExpired(request)` runs before each expired member's completion
- * — the hook where a server attributes the rejection to its
- * counters (servers that count inside a completion wrapper pass a
- * no-op).
+ * shrinks in place, so an expired request is never encoded. Every
+ * shard thread runs it, so "deadline bounds queue wait, not
+ * execution" is implemented — and testable — exactly once; the
+ * completion itself attributes the rejection to the server's
+ * counters.
  * @return the number of members expired.
  */
-template <typename Request, typename OnExpired>
+template <typename Request>
 std::size_t
 expireDeadlines(CoalescedBatch<Request>& batch,
                 std::chrono::steady_clock::time_point now,
-                const char* server, OnExpired onExpired)
+                const char* server)
 {
     std::size_t kept = 0;
     std::size_t expired = 0;
@@ -159,7 +146,6 @@ expireDeadlines(CoalescedBatch<Request>& batch,
         if (r.deadline <= now) {
             batch.pairCount -= r.pairs.size();
             ++expired;
-            onExpired(r);
             r.complete(Status::deadlineExceeded(
                 std::string(server) +
                 ": deadline expired while queued"));
@@ -186,7 +172,7 @@ class Coalescer
   public:
     /**
      * @param interactiveDelay flush budget of the interactive lane
-     *   (AsyncServer::Options::maxBatchDelay);
+     *   (FrontEndOptions::maxBatchDelay);
      * @param batchDelay flush budget of the batch lane — clamped up
      *   to interactiveDelay so batch traffic never flushes EARLIER
      *   than interactive traffic.

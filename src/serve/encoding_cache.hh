@@ -316,13 +316,6 @@ class ShardedEncodingCache
         return static_cast<std::size_t>(key.lo % numShards);
     }
 
-    /** @return the partition that owns a digest in this cache. */
-    std::size_t
-    shardOf(const AstDigest& key) const
-    {
-        return shardOf(key, shards_.size());
-    }
-
     /** @return the partition that owns a key (digest routing). */
     std::size_t
     shardOf(const EncodingKey& key) const

@@ -173,9 +173,17 @@ Engine::initMetrics()
 Result<std::shared_ptr<const ModelVersion>>
 Engine::resolveModel(const std::string& name) const
 {
-    if (registry_) {
+    return resolveModel(registry_.get(), version_, name);
+}
+
+Result<std::shared_ptr<const ModelVersion>>
+Engine::resolveModel(const ModelRegistry* registry,
+                     const std::shared_ptr<const ModelVersion>& fixed,
+                     const std::string& name)
+{
+    if (registry != nullptr) {
         std::shared_ptr<const ModelVersion> version =
-            registry_->resolve(name);
+            registry->resolve(name);
         if (!version)
             return Status::invalidArgument(
                 name.empty()
@@ -183,11 +191,11 @@ Engine::resolveModel(const std::string& name) const
                     : "Engine: unknown model '" + name + "'");
         return version;
     }
-    if (name.empty() || name == version_->name)
-        return version_;
+    if (name.empty() || name == fixed->name)
+        return fixed;
     return Status::invalidArgument(
         "Engine: unknown model '" + name +
-        "' (single-model engine serves '" + version_->name + "')");
+        "' (single-model engine serves '" + fixed->name + "')");
 }
 
 Result<std::vector<Tensor>>

@@ -273,12 +273,20 @@ class Engine
      * Resolve a model name to the version snapshot a batch would
      * serve right now. "" resolves the default model (the fixed
      * version in classic mode). Unknown names are InvalidArgument.
-     * The async layers resolve at ADMISSION time through this, so a
-     * request admitted before a hot swap completes on the version it
-     * was admitted under.
      */
     Result<std::shared_ptr<const ModelVersion>>
     resolveModel(const std::string& name) const;
+
+    /** resolveModel over an explicit source: by name through
+     * `registry` when it is non-null, else to the one `fixed`
+     * version. The serving front end resolves at ADMISSION time
+     * through this (it needs no engine of its own), so a request
+     * admitted before a hot swap completes on the version it was
+     * admitted under. */
+    static Result<std::shared_ptr<const ModelVersion>>
+    resolveModel(const ModelRegistry* registry,
+                 const std::shared_ptr<const ModelVersion>& fixed,
+                 const std::string& name);
 
     /**
      * Encode a batch of trees, one latent row vector per input, in
@@ -383,8 +391,8 @@ class Engine
     /**
      * Aggregate round-robin probabilities (as produced by
      * compareMany() over tournamentPairs()) into a best-first
-     * ranking. Deterministic and shared with AsyncServer, so async
-     * rankings are bitwise-identical to rank(). `probs` must hold
+     * ranking. Deterministic and shared with the serving front end,
+     * so served rankings are bitwise-identical to rank(). `probs` must hold
      * n * (n - 1) entries.
      */
     static std::vector<RankedCandidate>

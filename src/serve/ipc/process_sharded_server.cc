@@ -1,10 +1,16 @@
 #include "serve/ipc/process_sharded_server.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
+#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
+#include <mutex>
 #include <string>
+#include <thread>
+#include <unordered_set>
 #include <utility>
 
 #include <fcntl.h>
@@ -13,10 +19,12 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "base/fd_util.hh"
 #include "base/logging.hh"
-#include "serve/coalesce.hh"
 #include "serve/encoding_cache.hh"
+#include "serve/ipc/wire.hh"
 #include "serve/ipc/worker.hh"
+#include "serve/metrics/metrics.hh"
 
 extern char** environ;
 
@@ -31,10 +39,6 @@ normalized(ProcessShardedServer::Options opts)
 {
     if (opts.numShards == 0)
         opts.numShards = 1;
-    if (opts.maxBatchSize == 0)
-        opts.maxBatchSize = 1;
-    if (opts.maxBatchDelay.count() < 0)
-        opts.maxBatchDelay = std::chrono::microseconds(0);
     if (opts.threadsPerWorker < 1)
         opts.threadsPerWorker = 1;
     if (opts.cachePerWorker == 0)
@@ -68,19 +72,150 @@ defaultWorkerBinary()
 
 } // namespace
 
-ProcessShardedServer::ProcessShardedServer(
-    std::shared_ptr<ComparativePredictor> model, Options opts)
-    : opts_(normalized(opts))
+/** The worker-process backend: one supervised ccsa_worker per shard,
+ * each owning its partition's cache and its own request queue. */
+class ProcessShardedServer::Workers final : public ShardBackend
 {
-    // One ModelVersion tags every request (labels, grouping); the
-    // actual scoring model lives in the worker processes, which load
-    // it from the checkpoint written below.
+  public:
+    Workers(std::shared_ptr<ComparativePredictor> model,
+            const Options& opts);
+    ~Workers() override;
+
+    /** Spawn every worker eagerly, then start the supervisor. */
+    void start() override;
+    /** Stop the supervisor, then shut every worker down (kShutdown,
+     * then EOF, then SIGKILL for stragglers) and reap. */
+    void stop() override;
+    /** Serve one coalesced batch in two pipelined phases (encode,
+     * then compare by digest) against shard s's worker. */
+    Status run(std::size_t s, const ModelBatches& batch,
+               BatchAnswer& answer) override;
+    /** Per-shard worker_up / degraded gauges. */
+    void sampleMetrics() const override;
+
+    WorkerHealth health(std::size_t s) const;
+    const std::string& checkpoint() const { return checkpoint_; }
+
+  private:
+    /** Outcome of one RPC round-trip. */
+    enum class Rpc
+    {
+        Ok,
+        /** No (complete) reply within the deadline: worker hung. */
+        Timeout,
+        /** Socket closed / torn frame / protocol violation: worker
+         * crashed (or is treated as crashed). */
+        Closed,
+    };
+
+    /** One shard's supervised process. proc-prefixed fields are
+     * guarded by rpcMutex (whoever holds it owns the socket AND the
+     * supervision state); the atomics mirror them for stats(). */
+    struct Shard
+    {
+        std::mutex rpcMutex;
+        FdGuard fd;
+        pid_t pid = -1;
+        bool up = false;
+        std::uint64_t generation = 0;
+        std::uint64_t nextFrameId = 1;
+        unsigned consecutiveFailures = 0;
+        std::chrono::steady_clock::time_point nextSpawnAllowed{};
+        bool breakerOpen = false;
+        std::chrono::steady_clock::time_point breakerOpenedAt{};
+        /** Restart stamps inside the flap window. */
+        std::deque<std::chrono::steady_clock::time_point>
+            recentRestarts;
+
+        /** EXACT mirror of the worker's resident latents: an LRU
+         * evicts nothing until its distinct-insert count exceeds
+         * capacity, so while this set stays within cachePerWorker
+         * every member is provably resident and run() ships only
+         * unknown trees (steady state: a zero-tree encode frame).
+         * Cleared on respawn (cold cache); abandoned for the worker's
+         * lifetime once the capacity is exceeded (residentOverflow —
+         * eviction order is no longer knowable parent-side, so every
+         * batch ships all its trees again). rpcMutex guards both. */
+        std::unordered_set<AstDigest, AstDigestHash> residentDigests;
+        bool residentOverflow = false;
+
+        /** Lock-free mirrors for stats()/gauges. */
+        std::atomic<std::uint64_t> restarts{0};
+        std::atomic<bool> upFlag{false};
+        std::atomic<bool> degradedFlag{false};
+        std::atomic<pid_t> pidFlag{-1};
+        std::atomic<std::uint64_t> generationFlag{0};
+
+        /** Per-shard registry instruments (null w/o metrics). */
+        Counter* restartsMetric = nullptr;
+        Gauge* upMetric = nullptr;
+        Gauge* degradedMetric = nullptr;
+        WindowedHistogram* heartbeatMetric = nullptr;
+    };
+
+    /** One ping/pong with per-call deadline; rpcMutex held. */
+    Rpc pingLocked(Shard& shard, std::chrono::milliseconds deadline,
+                   std::chrono::microseconds* latency = nullptr);
+    /** Send a frame and await its reply; rpcMutex held. */
+    Rpc rpcLocked(Shard& shard, ipc::MsgType type,
+                  const std::vector<std::uint8_t>& payload,
+                  std::chrono::milliseconds deadline,
+                  ipc::Frame* reply);
+    /** Write the pipelined request pair in a single send; rpcMutex
+     * held. @return false when the peer is gone. */
+    bool sendRequestPairLocked(Shard& shard, ipc::MsgType type1,
+                               const std::vector<std::uint8_t>& payload1,
+                               std::uint64_t* id1, ipc::MsgType type2,
+                               const std::vector<std::uint8_t>& payload2,
+                               std::uint64_t* id2);
+    /** Await the reply to frame `id`, skipping stale replies from
+     * abandoned earlier RPCs; rpcMutex held. */
+    Rpc awaitReplyLocked(Shard& shard, std::uint64_t id,
+                         std::chrono::milliseconds deadline,
+                         ipc::Frame* reply);
+
+    /** Ensure a live worker (respecting backoff gate + breaker
+     * half-open policy); rpcMutex held. @return true when up. */
+    bool ensureWorkerLocked(std::size_t s);
+    /** Mark the worker dead: SIGKILL + reap, count the restart,
+     * advance backoff, maybe open the breaker; rpcMutex held. */
+    void handleFailureLocked(std::size_t s);
+    /** Record a reaped worker as down; rpcMutex held. */
+    static void markDownLocked(Shard& shard);
+    /** fork/exec one worker and handshake; rpcMutex held. */
+    bool spawnLocked(std::size_t s);
+
+    void supervisorLoop();
+
+    Options opts_;
+    std::string checkpoint_;
+    /** The ccsa_worker binary every spawn execs. */
+    std::string workerBinary_;
+    std::vector<std::unique_ptr<Shard>> shards_;
+
+    std::mutex supervisorMutex_;
+    std::condition_variable supervisorCv_;
+    bool supervisorStop_ = false;
+    std::thread supervisor_;
+};
+
+ProcessShardedServer::Workers::Workers(
+    std::shared_ptr<ComparativePredictor> model, const Options& opts)
+    : ShardBackend("ProcessShardedServer", "ipc",
+                   /*queuePerShard=*/true),
+      opts_(normalized(opts)),
+      workerBinary_(opts_.workerPath.empty() ? defaultWorkerBinary()
+                                             : opts_.workerPath)
+{
+    // One ModelVersion tags every request (labels, admission-time
+    // resolution); the actual scoring model lives in the worker
+    // processes, which load it from the checkpoint written below.
     auto version = std::make_shared<ModelVersion>();
     version->name = "model";
     version->id = 1;
     version->sequence = 1;
     version->model = model;
-    version_ = std::move(version);
+    fixedModel = std::move(version);
 
     // Ship the model once: a v2 checkpoint every spawn loads.
     // Float32 checkpoints round-trip bitwise, so worker results are
@@ -101,31 +236,10 @@ ProcessShardedServer::ProcessShardedServer(
               saved.message());
     }
 
-    shards_.reserve(opts_.numShards);
-    for (std::size_t s = 0; s < opts_.numShards; ++s) {
-        auto shard = std::make_unique<Shard>();
-        shard->queue = std::make_unique<BoundedQueue<Request>>(
-            opts_.queueCapacity);
-        shards_.push_back(std::move(shard));
-    }
-    initMetrics();
-    if (!opts_.startPaused)
-        start();
-}
-
-ProcessShardedServer::~ProcessShardedServer()
-{
-    shutdown();
-    if (!checkpoint_.empty())
-        ::unlink(checkpoint_.c_str());
-}
-
-void
-ProcessShardedServer::initMetrics()
-{
+    for (std::size_t s = 0; s < opts_.numShards; ++s)
+        shards_.push_back(std::make_unique<Shard>());
     if (opts_.metrics == nullptr)
         return;
-    metrics_.init(*opts_.metrics, "ipc");
     for (std::size_t s = 0; s < shards_.size(); ++s) {
         MetricLabels labels{{"server", "ipc"},
                             {"shard", std::to_string(s)}};
@@ -147,26 +261,14 @@ ProcessShardedServer::initMetrics()
     }
 }
 
-const std::string&
-ProcessShardedServer::workerBinary()
+ProcessShardedServer::Workers::~Workers()
 {
-    if (workerBinary_.empty()) {
-        workerBinary_ = opts_.workerPath.empty() ? defaultWorkerBinary()
-                                                 : opts_.workerPath;
-    }
-    return workerBinary_;
-}
-
-std::chrono::microseconds
-ProcessShardedServer::batchClassDelay() const
-{
-    if (opts_.maxBatchClassDelay.count() > 0)
-        return opts_.maxBatchClassDelay;
-    return opts_.maxBatchDelay * 8;
+    if (!checkpoint_.empty())
+        ::unlink(checkpoint_.c_str());
 }
 
 void
-ProcessShardedServer::startWorkersLocked()
+ProcessShardedServer::Workers::start()
 {
     // Spawn eagerly so configuration errors (missing binary, bad
     // checkpoint dir) surface as a down shard NOW instead of on the
@@ -176,35 +278,12 @@ ProcessShardedServer::startWorkersLocked()
         std::lock_guard<std::mutex> lock(shards_[s]->rpcMutex);
         ensureWorkerLocked(s);
     }
-    for (std::size_t s = 0; s < shards_.size(); ++s)
-        shards_[s]->dispatcher =
-            std::thread([this, s] { dispatcherLoop(s); });
     supervisor_ = std::thread([this] { supervisorLoop(); });
-    started_ = true;
 }
 
 void
-ProcessShardedServer::start()
+ProcessShardedServer::Workers::stop()
 {
-    std::lock_guard<std::mutex> lock(lifecycleMutex_);
-    if (shutdown_ || started_)
-        return;
-    startWorkersLocked();
-}
-
-void
-ProcessShardedServer::shutdown()
-{
-    std::lock_guard<std::mutex> lock(lifecycleMutex_);
-    if (shutdown_)
-        return;
-    for (auto& shard : shards_)
-        shard->queue->close();
-    // A paused server still owes answers for everything accepted.
-    if (!started_)
-        startWorkersLocked();
-    for (auto& shard : shards_)
-        shard->dispatcher.join();
     {
         std::lock_guard<std::mutex> stop(supervisorMutex_);
         supervisorStop_ = true;
@@ -236,353 +315,25 @@ ProcessShardedServer::shutdown()
             ::kill(shard->pid, SIGKILL);
             ::waitpid(shard->pid, nullptr, 0);
         }
-        shard->pid = -1;
-        shard->up = false;
-        shard->upFlag = false;
-        shard->pidFlag = -1;
-        if (shard->upMetric != nullptr)
-            shard->upMetric->set(0);
+        markDownLocked(*shard);
     }
-    shutdown_ = true;
 }
 
-bool
-ProcessShardedServer::isShutdown() const
-{
-    std::lock_guard<std::mutex> lock(lifecycleMutex_);
-    return shutdown_;
-}
+// ------------------------------------------------------------ serve
 
-// ---------------------------------------------------------- submit
-
-std::vector<std::pair<std::size_t, ProcessShardedServer::Request>>
-ProcessShardedServer::splitRequest(
-    std::vector<Engine::PairRequest> pairs,
-    std::function<void(Result<std::vector<double>>)> complete,
-    const SubmitOptions& submitOpts,
-    std::chrono::steady_clock::time_point submitStart)
-{
-    auto now = std::chrono::steady_clock::now();
-    auto stamp = [&](Request& request) {
-        request.version = version_;
-        request.priority = submitOpts.priority;
-        request.tenant = submitOpts.tenant;
-        request.submitted = submitStart;
-        request.enqueued = now;
-        if (submitOpts.deadline.count() > 0)
-            request.deadline = submitStart + submitOpts.deadline;
-    };
-    std::vector<std::pair<std::size_t, Request>> out;
-
-    // Digest routing as in ShardedServer::splitRequest — but here it
-    // is LOAD-BEARING, not advisory: each worker process owns its
-    // partition's encoding cache in a separate address space, so a
-    // slice must land on the process that owns its first trees.
-    std::vector<std::vector<std::size_t>> groups(shards_.size());
-    if (shards_.size() == 1) {
-        Request request;
-        request.pairs = std::move(pairs);
-        request.complete = std::move(complete);
-        stamp(request);
-        out.emplace_back(0, std::move(request));
-        return out;
-    }
-    std::unordered_map<const Ast*, std::size_t> shardOfTree;
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-        auto [it, inserted] = shardOfTree.emplace(pairs[i].first, 0);
-        if (inserted)
-            it->second = ShardedEncodingCache::shardOf(
-                digestAst(*pairs[i].first), shards_.size());
-        groups[it->second].push_back(i);
-    }
-    std::size_t nonEmpty = 0;
-    std::size_t lastShard = 0;
-    for (std::size_t s = 0; s < groups.size(); ++s) {
-        if (!groups[s].empty()) {
-            nonEmpty++;
-            lastShard = s;
-        }
-    }
-
-    if (nonEmpty == 1) {
-        Request request;
-        request.pairs = std::move(pairs);
-        request.complete = std::move(complete);
-        stamp(request);
-        out.emplace_back(lastShard, std::move(request));
-        return out;
-    }
-
-    auto join = std::make_shared<JoinState>();
-    join->values.resize(pairs.size(), 0.0);
-    join->remaining = nonEmpty;
-    join->complete = std::move(complete);
-
-    for (std::size_t s = 0; s < groups.size(); ++s) {
-        const std::vector<std::size_t>& slots = groups[s];
-        if (slots.empty())
-            continue;
-        Request request;
-        request.pairs.reserve(slots.size());
-        for (std::size_t i : slots)
-            request.pairs.push_back(pairs[i]);
-        stamp(request);
-        request.complete =
-            [join, slots](Result<std::vector<double>> r) {
-                bool done = false;
-                {
-                    std::lock_guard<std::mutex> lock(join->mutex);
-                    if (r.isOk()) {
-                        for (std::size_t k = 0; k < slots.size();
-                             ++k)
-                            join->values[slots[k]] = r.value()[k];
-                    } else if (join->error.isOk()) {
-                        join->error = r.status();
-                    }
-                    done = --join->remaining == 0;
-                }
-                if (done) {
-                    if (join->error.isOk())
-                        join->complete(std::move(join->values));
-                    else
-                        join->complete(join->error);
-                }
-            };
-        out.emplace_back(s, std::move(request));
-    }
-    return out;
-}
-
-bool
-ProcessShardedServer::submitCore(
-    const SubmitOptions& submitOpts,
-    std::vector<Engine::PairRequest> pairs,
-    std::function<void(Result<std::vector<double>>)> complete)
-{
-    auto submitStart = std::chrono::steady_clock::now();
-
-    // Same completion-side attribution as ShardedServer::submitCore:
-    // deadline expiries are attributed rejections, everything else
-    // completes or fails, and a door-rejected request raises the tag
-    // so outcome counters stay disjoint.
-    auto rejectedTag = std::make_shared<std::atomic<bool>>(false);
-    auto counted =
-        [this, rejectedTag, tenant = submitOpts.tenant,
-         complete = std::move(complete)](
-            Result<std::vector<double>> r) {
-            if (!rejectedTag->load()) {
-                bool deadline = !r.isOk() &&
-                    r.status().code() ==
-                        StatusCode::DeadlineExceeded;
-                if (metrics_.enabled())
-                    (r.isOk()          ? metrics_.completed
-                         : deadline    ? metrics_.rejectedDeadline
-                                       : metrics_.failed)
-                        ->inc();
-                std::lock_guard<std::mutex> lock(submitMutex_);
-                if (r.isOk()) {
-                    completed_++;
-                    tenants_[tenant].completed++;
-                } else if (deadline) {
-                    rejectedDeadline_++;
-                    tenants_[tenant].rejectedDeadline++;
-                } else {
-                    failed_++;
-                    tenants_[tenant].failed++;
-                }
-            }
-            complete(std::move(r));
-        };
-
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-        if (pairs[i].first == nullptr || pairs[i].second == nullptr) {
-            counted(Status::invalidArgument(
-                "submit: null tree in pair " + std::to_string(i)));
-            return true;
-        }
-    }
-    if (pairs.empty()) {
-        counted(std::vector<double>{});
-        return true;
-    }
-    // Single-model server: there is no registry to resolve names
-    // against (the model already shipped to the workers at spawn).
-    if (!submitOpts.model.empty() &&
-        submitOpts.model != version_->name) {
-        counted(Status::invalidArgument(
-            "ProcessShardedServer serves a single model; unknown "
-            "model \"" + submitOpts.model + "\""));
-        return true;
-    }
-
-    if (opts_.admission != nullptr) {
-        Status admitted =
-            opts_.admission->admit(submitOpts.tenant, pairs.size());
-        if (!admitted.isOk()) {
-            if (metrics_.enabled())
-                metrics_.rejectedQuota->inc();
-            {
-                std::lock_guard<std::mutex> lock(submitMutex_);
-                rejectedQuota_++;
-                tenants_[submitOpts.tenant].rejectedQuota++;
-            }
-            rejectedTag->store(true);
-            counted(admitted);
-            return true;
-        }
-    }
-
-    std::vector<std::pair<std::size_t, Request>> slices =
-        splitRequest(std::move(pairs), std::move(counted),
-                     submitOpts, submitStart);
-
-    bool anyClosed = false;
-    for (auto& [shard, request] : slices) {
-        if (shards_[shard]->queue->push(std::move(request)) ==
-            QueuePush::Closed) {
-            if (!anyClosed) {
-                if (metrics_.enabled())
-                    metrics_.rejectedShutdown->inc();
-                std::lock_guard<std::mutex> lock(submitMutex_);
-                rejectedShutdown_++;
-            }
-            anyClosed = true;
-            rejectedTag->store(true);
-            // push leaves the item untouched on rejection; resolve
-            // the slice so a join still fans in correctly.
-            request.complete(Status::unavailable(
-                "ProcessShardedServer: submit after shutdown"));
-        }
-    }
-    if (!anyClosed) {
-        if (metrics_.enabled())
-            metrics_.submitted->inc();
-        std::lock_guard<std::mutex> lock(submitMutex_);
-        submitted_++;
-        tenants_[submitOpts.tenant].submitted++;
-    }
-    return true;
-}
-
-std::future<Result<double>>
-ProcessShardedServer::submitCompare(const Ast& first,
-                                    const Ast& second)
-{
-    return submitCompare(SubmitOptions(), first, second);
-}
-
-std::future<Result<double>>
-ProcessShardedServer::submitCompare(const SubmitOptions& submitOpts,
-                                    const Ast& first,
-                                    const Ast& second)
-{
-    auto promise = std::make_shared<std::promise<Result<double>>>();
-    std::future<Result<double>> future = promise->get_future();
-    submitCore(submitOpts, {Engine::PairRequest{&first, &second}},
-               [promise](Result<std::vector<double>> r) {
-                   if (r.isOk())
-                       promise->set_value(r.value()[0]);
-                   else
-                       promise->set_value(r.status());
-               });
-    return future;
-}
-
-std::future<Result<std::vector<double>>>
-ProcessShardedServer::submitCompareMany(
-    std::vector<Engine::PairRequest> pairs)
-{
-    return submitCompareMany(SubmitOptions(), std::move(pairs));
-}
-
-std::future<Result<std::vector<double>>>
-ProcessShardedServer::submitCompareMany(
-    const SubmitOptions& submitOpts,
-    std::vector<Engine::PairRequest> pairs)
-{
-    auto promise = std::make_shared<
-        std::promise<Result<std::vector<double>>>>();
-    std::future<Result<std::vector<double>>> future =
-        promise->get_future();
-    submitCore(submitOpts, std::move(pairs),
-               [promise](Result<std::vector<double>> r) {
-                   promise->set_value(std::move(r));
-               });
-    return future;
-}
-
-std::future<Result<std::vector<Engine::RankedCandidate>>>
-ProcessShardedServer::submitRank(std::vector<const Ast*> candidates)
-{
-    return submitRank(SubmitOptions(), std::move(candidates));
-}
-
-std::future<Result<std::vector<Engine::RankedCandidate>>>
-ProcessShardedServer::submitRank(const SubmitOptions& submitOpts,
-                                 std::vector<const Ast*> candidates)
-{
-    auto promise = std::make_shared<
-        std::promise<Result<std::vector<Engine::RankedCandidate>>>>();
-    std::future<Result<std::vector<Engine::RankedCandidate>>> future =
-        promise->get_future();
-    if (candidates.size() < 2) {
-        promise->set_value(Status::invalidArgument(
-            "submitRank: need at least two candidates"));
-        if (metrics_.enabled())
-            metrics_.failed->inc();
-        std::lock_guard<std::mutex> lock(submitMutex_);
-        failed_++;
-        return future;
-    }
-    std::size_t n = candidates.size();
-    submitCore(submitOpts, Engine::tournamentPairs(candidates),
-               [promise, n](Result<std::vector<double>> r) {
-                   if (r.isOk())
-                       promise->set_value(Engine::aggregateTournament(
-                           n, r.value()));
-                   else
-                       promise->set_value(r.status());
-               });
-    return future;
-}
-
-// ------------------------------------------------------ dispatcher
-
-void
-ProcessShardedServer::dispatcherLoop(std::size_t s)
+Status
+ProcessShardedServer::Workers::run(std::size_t s,
+                                   const ModelBatches& batch,
+                                   BatchAnswer& answer)
 {
     Shard& shard = *shards_[s];
-    Coalescer<Request> coalescer(*shard.queue, opts_.maxBatchSize,
-                                 opts_.maxBatchDelay,
-                                 batchClassDelay());
-    for (;;) {
-        std::optional<CoalescedBatch<Request>> batch =
-            coalescer.next();
-        if (!batch)
-            return;
-        expireDeadlines(*batch, std::chrono::steady_clock::now(),
-                        "ProcessShardedServer", [](const Request&) {});
-        if (batch->requests.empty())
-            continue;
-        serveBatch(s, *batch);
-    }
-}
-
-void
-ProcessShardedServer::failBatch(CoalescedBatch<Request>& batch,
-                                const Status& status)
-{
-    for (Request& r : batch.requests)
-        r.complete(status);
-}
-
-void
-ProcessShardedServer::serveBatch(std::size_t s,
-                                 CoalescedBatch<Request>& batch)
-{
-    Shard& shard = *shards_[s];
-    std::vector<Engine::PairRequest> flat = batch.flattenPairs();
-    ipc::TreeBatch trees = ipc::makeTreeBatch(flat);
+    Engine::PhaseTiming timing;
+    timing.encodeStart = std::chrono::steady_clock::now();
+    // Admission resolves every request to the one fixed version, so
+    // a batch is a single group.
+    const std::vector<Engine::PairRequest>& pairs =
+        batch.groups[0].pairs;
+    ipc::TreeBatch trees = ipc::makeTreeBatch(pairs);
     std::string where =
         "ProcessShardedServer: shard " + std::to_string(s);
 
@@ -591,10 +342,8 @@ ProcessShardedServer::serveBatch(std::size_t s,
         // Dead worker behind its backoff gate, or an open breaker:
         // fail FAST with an attributed status — the other shards
         // keep serving their partitions (graceful N-1 degradation).
-        failBatch(batch,
-                  Status::unavailable(where + " unavailable (worker "
-                                              "down or degraded)"));
-        return;
+        return Status::unavailable(where + " unavailable (worker "
+                                           "down or degraded)");
     }
 
     // The two phases are PIPELINED: both request frames go out
@@ -663,15 +412,13 @@ ProcessShardedServer::serveBatch(std::size_t s,
             Status decoded =
                 ipc::decodeEncodeReply(reply.payload, &latents);
             if (decoded.isOk()) {
-                if (!latents.isOk()) {
-                    // The worker ran and refused (e.g. malformed
-                    // tree): a real answer, not a fault. The queued
-                    // digest compare will refuse on the same missing
-                    // latents; its stale reply is skipped by the
-                    // next awaitReplyLocked on this shard.
-                    failBatch(batch, latents.status());
-                    return;
-                }
+                // The worker ran and refused (e.g. malformed tree): a
+                // real answer, not a fault. The queued digest compare
+                // will refuse on the same missing latents; its stale
+                // reply is skipped by the next awaitReplyLocked on
+                // this shard.
+                if (!latents.isOk())
+                    return latents.status();
                 // The worker inserted every shipped tree before
                 // replying — extend the mirror, or abandon it the
                 // moment the worker's LRU may have started evicting.
@@ -684,6 +431,7 @@ ProcessShardedServer::serveBatch(std::size_t s,
                         shard.residentOverflow = true;
                     }
                 }
+                timing.encodeEnd = std::chrono::steady_clock::now();
                 break;
             }
             rc = Rpc::Closed; // corrupt reply == treat as crash
@@ -692,19 +440,15 @@ ProcessShardedServer::serveBatch(std::size_t s,
             // Hung worker: kill it, answer DeadlineExceeded. A hang
             // is not retried — the caller's clock already ran.
             handleFailureLocked(s);
-            failBatch(batch, Status::deadlineExceeded(
-                                 where + " encode RPC deadline "
-                                         "(worker hung)"));
-            return;
+            return Status::deadlineExceeded(where +
+                                            " encode RPC deadline "
+                                            "(worker hung)");
         }
         handleFailureLocked(s);
         if (attempt++ >= opts_.encodeRetryLimit ||
-            !ensureWorkerLocked(s)) {
-            failBatch(batch, Status::unavailable(
-                                 where + " worker crashed during "
-                                         "encode"));
-            return;
-        }
+            !ensureWorkerLocked(s))
+            return Status::unavailable(where +
+                                       " worker crashed during encode");
     }
 
     // Phase 2 resolution. NEVER retried on a crash: if the worker
@@ -730,95 +474,38 @@ ProcessShardedServer::serveBatch(std::size_t s,
                         result.status().code() ==
                             StatusCode::ResourceExhausted)
                         continue; // evicted latents: resend trees
-                    failBatch(batch, result.status());
-                    return;
+                    return result.status();
                 }
-                if (result.value().size() != batch.pairCount) {
+                if (result.value().size() != pairs.size()) {
                     handleFailureLocked(s);
-                    failBatch(batch,
-                              Status::internal(
-                                  where + " compare reply count "
-                                          "mismatch"));
-                    return;
+                    return Status::internal(where +
+                                            " compare reply count "
+                                            "mismatch");
                 }
-                lock.unlock(); // completions don't need the socket
-                completeBatch(s, batch, result.value());
-                return;
+                timing.scoreEnd = std::chrono::steady_clock::now();
+                answer.results.assign(1, std::move(result));
+                answer.timings.assign(1, timing);
+                return Status::ok();
             }
             rc = Rpc::Closed;
         }
         if (rc == Rpc::Timeout) {
             handleFailureLocked(s);
-            failBatch(batch, Status::deadlineExceeded(
-                                 where + " compare RPC deadline "
-                                         "(worker hung)"));
-            return;
+            return Status::deadlineExceeded(where +
+                                            " compare RPC deadline "
+                                            "(worker hung)");
         }
         handleFailureLocked(s);
-        failBatch(batch, Status::unavailable(
-                             where + " worker crashed mid-batch "
-                                     "(compare is not retried)"));
-        return;
-    }
-}
-
-void
-ProcessShardedServer::completeBatch(std::size_t s,
-                                    CoalescedBatch<Request>& batch,
-                                    const std::vector<double>& probs)
-{
-    Shard& shard = *shards_[s];
-    auto completedAt = std::chrono::steady_clock::now();
-    if (metrics_.enabled()) {
-        metrics_.batches->inc();
-        metrics_.batchPairs->inc(batch.pairCount);
-    }
-    {
-        std::lock_guard<std::mutex> lock(shard.statsMutex);
-        shard.batches++;
-        shard.pairsServed += batch.pairCount;
-        shard.batchSizes.add(batch.pairCount);
-        for (const Request& r : batch.requests) {
-            std::size_t us =
-                latencySampleUs(completedAt - r.enqueued);
-            shard.latencyUs.add(us);
-            shard.tenantLatencyUs[r.tenant].add(us);
-        }
-    }
-    for (const Request& r : batch.requests) {
-        std::size_t us = latencySampleUs(completedAt - r.enqueued);
-        if (metrics_.enabled())
-            serverLatencyHistogram(*opts_.metrics, "ipc",
-                                   r.version->name, r.tenant,
-                                   r.priority, opts_.metricsWindow)
-                .add(us, completedAt);
-    }
-    std::size_t off = 0;
-    for (Request& r : batch.requests) {
-        auto begin =
-            probs.begin() + static_cast<std::ptrdiff_t>(off);
-        r.complete(std::vector<double>(
-            begin,
-            begin + static_cast<std::ptrdiff_t>(r.pairs.size())));
-        off += r.pairs.size();
+        return Status::unavailable(where +
+                                   " worker crashed mid-batch "
+                                   "(compare is not retried)");
     }
 }
 
 // ------------------------------------------------------ rpc plumbing
 
 bool
-ProcessShardedServer::sendRequestLocked(
-    Shard& shard, ipc::MsgType type,
-    const std::vector<std::uint8_t>& payload, std::uint64_t* id)
-{
-    if (!shard.fd.valid())
-        return false;
-    *id = shard.nextFrameId++;
-    return ipc::writeFrame(shard.fd.get(), type, *id, payload);
-}
-
-bool
-ProcessShardedServer::sendRequestPairLocked(
+ProcessShardedServer::Workers::sendRequestPairLocked(
     Shard& shard, ipc::MsgType type1,
     const std::vector<std::uint8_t>& payload1, std::uint64_t* id1,
     ipc::MsgType type2, const std::vector<std::uint8_t>& payload2,
@@ -839,20 +526,22 @@ ProcessShardedServer::sendRequestPairLocked(
     return ipc::writeRaw(shard.fd.get(), bytes);
 }
 
-ProcessShardedServer::Rpc
-ProcessShardedServer::rpcLocked(Shard& shard, ipc::MsgType type,
-                                const std::vector<std::uint8_t>& payload,
-                                std::chrono::milliseconds deadline,
-                                ipc::Frame* reply)
+ProcessShardedServer::Workers::Rpc
+ProcessShardedServer::Workers::rpcLocked(
+    Shard& shard, ipc::MsgType type,
+    const std::vector<std::uint8_t>& payload,
+    std::chrono::milliseconds deadline, ipc::Frame* reply)
 {
-    std::uint64_t id = 0;
-    if (!sendRequestLocked(shard, type, payload, &id))
+    if (!shard.fd.valid())
+        return Rpc::Closed;
+    std::uint64_t id = shard.nextFrameId++;
+    if (!ipc::writeFrame(shard.fd.get(), type, id, payload))
         return Rpc::Closed;
     return awaitReplyLocked(shard, id, deadline, reply);
 }
 
-ProcessShardedServer::Rpc
-ProcessShardedServer::awaitReplyLocked(
+ProcessShardedServer::Workers::Rpc
+ProcessShardedServer::Workers::awaitReplyLocked(
     Shard& shard, std::uint64_t id,
     std::chrono::milliseconds deadline, ipc::Frame* reply)
 {
@@ -894,10 +583,10 @@ ProcessShardedServer::awaitReplyLocked(
     }
 }
 
-ProcessShardedServer::Rpc
-ProcessShardedServer::pingLocked(Shard& shard,
-                                 std::chrono::milliseconds deadline,
-                                 std::chrono::microseconds* latency)
+ProcessShardedServer::Workers::Rpc
+ProcessShardedServer::Workers::pingLocked(
+    Shard& shard, std::chrono::milliseconds deadline,
+    std::chrono::microseconds* latency)
 {
     auto start = std::chrono::steady_clock::now();
     ipc::Frame reply;
@@ -917,7 +606,7 @@ ProcessShardedServer::pingLocked(Shard& shard,
 // ------------------------------------------------------ supervision
 
 bool
-ProcessShardedServer::ensureWorkerLocked(std::size_t s)
+ProcessShardedServer::Workers::ensureWorkerLocked(std::size_t s)
 {
     Shard& shard = *shards_[s];
     if (shard.up)
@@ -935,7 +624,7 @@ ProcessShardedServer::ensureWorkerLocked(std::size_t s)
 }
 
 void
-ProcessShardedServer::handleFailureLocked(std::size_t s)
+ProcessShardedServer::Workers::handleFailureLocked(std::size_t s)
 {
     Shard& shard = *shards_[s];
     if (shard.pid > 0) {
@@ -943,12 +632,7 @@ ProcessShardedServer::handleFailureLocked(std::size_t s)
         ::waitpid(shard.pid, nullptr, 0);
     }
     shard.fd.reset();
-    shard.pid = -1;
-    shard.up = false;
-    shard.upFlag = false;
-    shard.pidFlag = -1;
-    if (shard.upMetric != nullptr)
-        shard.upMetric->set(0);
+    markDownLocked(shard);
 
     auto now = std::chrono::steady_clock::now();
     shard.consecutiveFailures++;
@@ -981,8 +665,19 @@ ProcessShardedServer::handleFailureLocked(std::size_t s)
     }
 }
 
+void
+ProcessShardedServer::Workers::markDownLocked(Shard& shard)
+{
+    shard.pid = -1;
+    shard.up = false;
+    shard.upFlag = false;
+    shard.pidFlag = -1;
+    if (shard.upMetric != nullptr)
+        shard.upMetric->set(0);
+}
+
 bool
-ProcessShardedServer::spawnLocked(std::size_t s)
+ProcessShardedServer::Workers::spawnLocked(std::size_t s)
 {
     Shard& shard = *shards_[s];
     int fds[2];
@@ -993,7 +688,7 @@ ProcessShardedServer::spawnLocked(std::size_t s)
     FdGuard parentEnd(fds[0]);
     FdGuard childEnd(fds[1]);
 
-    const std::string& binary = workerBinary();
+    const std::string& binary = workerBinary_;
     std::string cacheArg = std::to_string(opts_.cachePerWorker);
     std::string threadsArg = std::to_string(opts_.threadsPerWorker);
     std::string precisionArg =
@@ -1075,7 +770,7 @@ ProcessShardedServer::spawnLocked(std::size_t s)
 }
 
 void
-ProcessShardedServer::supervisorLoop()
+ProcessShardedServer::Workers::supervisorLoop()
 {
     for (;;) {
         {
@@ -1125,117 +820,63 @@ ProcessShardedServer::supervisorLoop()
 
 // ----------------------------------------------------------- stats
 
-ProcessShardedServerStats
-ProcessShardedServer::stats() const
+WorkerHealth
+ProcessShardedServer::Workers::health(std::size_t s) const
 {
-    ProcessShardedServerStats out;
-    out.shards.reserve(shards_.size());
-    out.health.reserve(shards_.size());
-    std::size_t queueDepth = 0;
-    std::size_t queueCapacity = 0;
-    for (const auto& shardPtr : shards_) {
-        const Shard& shard = *shardPtr;
-        ServerStats row;
-        {
-            std::lock_guard<std::mutex> lock(shard.statsMutex);
-            row.batches = shard.batches;
-            row.pairsServed = shard.pairsServed;
-            row.batchSizes = shard.batchSizes;
-            row.latencyUs = shard.latencyUs;
-            row.tenants.reserve(shard.tenantLatencyUs.size());
-            for (const auto& [name, hist] : shard.tenantLatencyUs) {
-                TenantStats t;
-                t.tenant = name;
-                t.latencyUs = hist;
-                row.tenants.push_back(std::move(t));
-            }
-        }
-        std::sort(row.tenants.begin(), row.tenants.end(),
-                  [](const TenantStats& a, const TenantStats& b) {
-                      return a.tenant < b.tenant;
-                  });
-        for (TenantStats& t : row.tenants)
-            fillTenantPercentiles(t);
-        fillLatencyPercentiles(row);
-        row.queueDepth = shard.queue->size();
-        row.queueCapacity = shard.queue->capacity();
-        queueDepth += row.queueDepth;
-        queueCapacity += row.queueCapacity;
-        out.shards.push_back(std::move(row));
-
-        WorkerHealth health;
-        health.pid = shard.pidFlag.load();
-        health.generation = shard.generationFlag.load();
-        health.restarts = shard.restarts.load();
-        health.up = shard.upFlag.load();
-        health.degraded = shard.degradedFlag.load();
-        out.health.push_back(health);
-    }
-
-    out.aggregate = mergeServerStats(out.shards);
-    // Engine/cache counters live inside the worker processes; the
-    // parent deliberately reports none rather than stale zeros per
-    // shard summed into a fake aggregate (mergeServerStats already
-    // summed zeros — make the contract explicit).
-    out.aggregate.engine = Engine::Stats{};
-    out.aggregate.queueDepth = queueDepth;
-    out.aggregate.queueCapacity = queueCapacity;
-    {
-        std::lock_guard<std::mutex> lock(submitMutex_);
-        out.aggregate.requestsSubmitted = submitted_;
-        out.aggregate.requestsRejectedShed = rejectedShed_;
-        out.aggregate.requestsRejectedShutdown = rejectedShutdown_;
-        out.aggregate.requestsRejectedQuota = rejectedQuota_;
-        out.aggregate.requestsRejectedDeadline = rejectedDeadline_;
-        out.aggregate.requestsRejected = rejectedShed_ +
-            rejectedShutdown_ + rejectedQuota_ + rejectedDeadline_;
-        out.aggregate.requestsCompleted = completed_;
-        out.aggregate.requestsFailed = failed_;
-        for (const auto& [name, counters] : tenants_) {
-            TenantStats* row = nullptr;
-            for (TenantStats& t : out.aggregate.tenants)
-                if (t.tenant == name) {
-                    row = &t;
-                    break;
-                }
-            if (row == nullptr) {
-                TenantStats t;
-                t.tenant = name;
-                out.aggregate.tenants.push_back(std::move(t));
-                row = &out.aggregate.tenants.back();
-            }
-            row->submitted = counters.submitted;
-            row->completed = counters.completed;
-            row->failed = counters.failed;
-            row->rejectedQuota = counters.rejectedQuota;
-            row->rejectedDeadline = counters.rejectedDeadline;
-        }
-    }
-    std::sort(out.aggregate.tenants.begin(),
-              out.aggregate.tenants.end(),
-              [](const TenantStats& a, const TenantStats& b) {
-                  return a.tenant < b.tenant;
-              });
-    return out;
+    const Shard& shard = *shards_[s];
+    WorkerHealth health;
+    health.pid = shard.pidFlag.load();
+    health.generation = shard.generationFlag.load();
+    health.restarts = shard.restarts.load();
+    health.up = shard.upFlag.load();
+    health.degraded = shard.degradedFlag.load();
+    return health;
 }
 
 void
-ProcessShardedServer::sampleMetrics() const
+ProcessShardedServer::Workers::sampleMetrics() const
 {
-    if (opts_.metrics == nullptr)
-        return;
-    std::size_t depth = 0;
-    std::size_t capacity = 0;
     for (const auto& shard : shards_) {
-        depth += shard->queue->size();
-        capacity += shard->queue->capacity();
         if (shard->upMetric != nullptr)
             shard->upMetric->set(shard->upFlag.load() ? 1 : 0);
         if (shard->degradedMetric != nullptr)
             shard->degradedMetric->set(
                 shard->degradedFlag.load() ? 1 : 0);
     }
-    publishServerGauges(*opts_.metrics, "ipc", depth, capacity, {});
+}
+
+// ----------------------------------------------------------- server
+
+ProcessShardedServer::ProcessShardedServer(
+    std::shared_ptr<ComparativePredictor> model, Options opts)
+    : ProcessShardedServer(
+          std::make_unique<Workers>(std::move(model), opts), opts)
+{
+}
+
+ProcessShardedServer::ProcessShardedServer(
+    std::unique_ptr<Workers> workers, Options opts)
+    : FrontEnd(std::move(workers), opts),
+      opts_(opts),
+      workers_(static_cast<Workers&>(backend()))
+{
+}
+
+const std::string&
+ProcessShardedServer::checkpointPath() const
+{
+    return workers_.checkpoint();
+}
+
+ProcessShardedServerStats
+ProcessShardedServer::stats() const
+{
+    ProcessShardedServerStats out;
+    snapshot(out.aggregate, out.shards);
+    out.health.reserve(out.shards.size());
+    for (std::size_t s = 0; s < out.shards.size(); ++s)
+        out.health.push_back(workers_.health(s));
+    return out;
 }
 
 } // namespace ccsa

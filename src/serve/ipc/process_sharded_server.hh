@@ -1,13 +1,16 @@
 /**
  * @file
- * ccsa::ProcessShardedServer — crash-isolated sharded serving.
- * ShardedServer scaled execution across N threads, but every shard
+ * ccsa::ProcessShardedServer — crash-isolated sharded serving: the
+ * serving front end (serve/front_end.hh) over worker processes.
+ * ShardedServer scales execution across N threads, but every shard
  * still shares one address space: a single segfault in any encode
  * path takes the whole service down. This server moves each shard
  * into its own PROCESS (a `ccsa_worker` binary speaking the
  * length-prefixed protocol of serve/ipc/wire.hh over a socketpair),
  * so a worker crash costs one partition for the respawn window, not
- * the service.
+ * the service. Submission, admission, split/join, counters, metrics,
+ * SLO events and trace chains are the front end's, exactly as for
+ * ShardedServer.
  *
  * Transport & routing:
  *  - The model ships once, as a v2 checkpoint the parent writes at
@@ -20,8 +23,8 @@
  *    not just an optimisation: each worker process owns its
  *    partition's encoding cache in its own address space
  *    (partition-per-process), so each shard has its own request
- *    queue + dispatcher instead of one work-stealing queue.
- *  - Each dispatcher serves a coalesced batch in two phases: an
+ *    queue instead of one work-stealing queue.
+ *  - Each shard serves a coalesced batch in two phases: an
  *    ENCODE RPC (idempotent — latents are a pure function of the
  *    trees — so it is retried on a freshly respawned worker, up to
  *    Options::encodeRetryLimit), then a COMPARE RPC that is NEVER
@@ -59,45 +62,29 @@
  *
  * Metrics plane: ServerMetrics under {server="ipc"} plus
  * ccsa_worker_restarts_total / ccsa_worker_up / ccsa_shard_degraded
- * per shard and the heartbeat latency histogram.
+ * per shard and the heartbeat latency histogram. Trace chains take
+ * their encode and score boundaries at the RPC replies.
  *
  * Single-model by design: multi-model registry serving stays
  * in-process (ShardedServer); this server trades that flexibility
- * for fault isolation. Submit with a non-empty model name fails
- * InvalidArgument.
+ * for fault isolation. Submit with any model name but "" or "model"
+ * fails InvalidArgument.
  */
 
 #ifndef CCSA_SERVE_IPC_PROCESS_SHARDED_SERVER_HH
 #define CCSA_SERVE_IPC_PROCESS_SHARDED_SERVER_HH
 
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <future>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
-#include <thread>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include <sys/types.h>
 
-#include "base/bounded_queue.hh"
-#include "base/fd_util.hh"
-#include "base/result.hh"
-#include "base/stats.hh"
-#include "serve/admission/admission_controller.hh"
-#include "serve/coalesce.hh"
 #include "serve/engine.hh"
-#include "serve/ipc/fault_injector.hh"
-#include "serve/ipc/wire.hh"
+#include "serve/front_end.hh"
 #include "serve/server_stats.hh"
 
 namespace ccsa
@@ -122,39 +109,25 @@ struct WorkerHealth
 /** Fleet + per-shard + supervision snapshot. */
 struct ProcessShardedServerStats
 {
-    /** Whole-server view (mergeServerStats semantics). */
+    /** Whole-server view (mergeServerStats semantics). Engine/cache
+     * counters live inside the worker processes, so its engine
+     * fields stay zero. */
     ServerStats aggregate;
-    /** Per-shard dispatcher rows (batching volume + latency). */
+    /** Per-shard rows (batching volume, latency, own queue). */
     std::vector<ServerStats> shards;
     /** Per-shard supervision state. */
     std::vector<WorkerHealth> health;
 };
 
-/** Sharded serving over crash-isolated worker processes. */
-class ProcessShardedServer
+/** The serving front end over crash-isolated worker processes. */
+class ProcessShardedServer : public FrontEnd
 {
   public:
-    /** Builder-style options; supervision knobs are deliberately
-     * test-tunable (small deadlines make fault tests fast). */
-    struct Options
+    /** The shared front-end options plus the worker-process knobs;
+     * supervision knobs are deliberately test-tunable (small
+     * deadlines make fault tests fast). */
+    struct Options : FrontEndOptionsBuilder<Options>
     {
-        /** Worker processes == digest partitions. */
-        std::size_t numShards = 2;
-        /** Max requests waiting PER SHARD queue. */
-        std::size_t queueCapacity = 1024;
-        /** Flush a dispatcher batch at this many pairs. */
-        std::size_t maxBatchSize = 256;
-        /** Interactive-lane flush budget (serve/coalesce.hh). */
-        std::chrono::microseconds maxBatchDelay{500};
-        /** Batch-lane flush budget; 0 = 8 x maxBatchDelay. */
-        std::chrono::microseconds maxBatchClassDelay{0};
-        /** Optional per-tenant admission gate (not owned). */
-        AdmissionController* admission = nullptr;
-        /** Optional metrics plane (not owned; {server="ipc"}). */
-        MetricsRegistry* metrics = nullptr;
-        /** Window shape for ccsa_request_latency_us /
-         * ccsa_heartbeat_latency_us. */
-        WindowedHistogram::Options metricsWindow;
         /** Encoder threads inside each worker process. */
         int threadsPerWorker = 1;
         /** Encoding-cache capacity per worker process. */
@@ -197,44 +170,10 @@ class ProcessShardedServer
          * (fault_injector.hh grammar); "" = none. */
         std::string faultSpec;
         std::size_t faultShard = 0;
-        /** Do not spawn workers / dispatchers until start(). */
-        bool startPaused = false;
 
-        Options& withNumShards(std::size_t n)
-        {
-            numShards = n == 0 ? 1 : n;
-            return *this;
-        }
-
-        Options& withQueueCapacity(std::size_t n)
-        {
-            queueCapacity = n;
-            return *this;
-        }
-
-        Options& withMaxBatchSize(std::size_t n)
-        {
-            maxBatchSize = n == 0 ? 1 : n;
-            return *this;
-        }
-
-        Options& withMaxBatchDelay(std::chrono::microseconds d)
-        {
-            maxBatchDelay = d;
-            return *this;
-        }
-
-        Options& withAdmission(AdmissionController* controller)
-        {
-            admission = controller;
-            return *this;
-        }
-
-        Options& withMetrics(MetricsRegistry* registry)
-        {
-            metrics = registry;
-            return *this;
-        }
+        /** Two worker processes unless withNumShards says
+         * otherwise. */
+        Options() { numShards = 2; }
 
         Options& withThreadsPerWorker(int n)
         {
@@ -314,12 +253,6 @@ class ProcessShardedServer
             faultShard = shard;
             return *this;
         }
-
-        Options& withStartPaused(bool paused)
-        {
-            startPaused = paused;
-            return *this;
-        }
     };
 
     /**
@@ -331,262 +264,23 @@ class ProcessShardedServer
     ProcessShardedServer(std::shared_ptr<ComparativePredictor> model,
                          Options opts);
 
-    /** Equivalent to shutdown() (plus checkpoint cleanup). */
-    ~ProcessShardedServer();
-
-    ProcessShardedServer(const ProcessShardedServer&) = delete;
-    ProcessShardedServer&
-    operator=(const ProcessShardedServer&) = delete;
-
-    /** Same submit contracts as ShardedServer (blocking endpoints;
-     * results bitwise-identical to a sync Engine on the same
-     * weights while the serving shard is healthy). */
-    std::future<Result<double>> submitCompare(const Ast& first,
-                                              const Ast& second);
-    std::future<Result<double>> submitCompare(
-        const SubmitOptions& submitOpts, const Ast& first,
-        const Ast& second);
-
-    std::future<Result<std::vector<double>>>
-    submitCompareMany(std::vector<Engine::PairRequest> pairs);
-    std::future<Result<std::vector<double>>>
-    submitCompareMany(const SubmitOptions& submitOpts,
-                      std::vector<Engine::PairRequest> pairs);
-
-    std::future<Result<std::vector<Engine::RankedCandidate>>>
-    submitRank(std::vector<const Ast*> candidates);
-    std::future<Result<std::vector<Engine::RankedCandidate>>>
-    submitRank(const SubmitOptions& submitOpts,
-               std::vector<const Ast*> candidates);
-
-    /** Spawn workers + dispatchers if construction was paused. */
-    void start();
-
-    /**
-     * Stop accepting, drain and answer everything accepted, then
-     * stop the supervisor, shut every worker down (kShutdown, then
-     * EOF, then SIGKILL for stragglers) and reap. Idempotent.
-     */
-    void shutdown();
-
-    bool isShutdown() const;
-
     /** Aggregate + per-shard + supervision snapshot. */
     ProcessShardedServerStats stats() const;
 
-    /** Publish pull-style gauges ({server="ipc"} queue levels plus
-     * per-shard worker_up/degraded); no-op without a registry. */
-    void sampleMetrics() const;
-
-    std::size_t numShards() const { return shards_.size(); }
     const Options& options() const { return opts_; }
 
     /** The checkpoint path workers load (tests reuse it to build a
      * bitwise-identical local Engine). */
-    const std::string& checkpointPath() const { return checkpoint_; }
+    const std::string& checkpointPath() const;
 
   private:
-    /** One queued unit: a per-shard slice (ShardedServer::Request
-     * shape, so serve/coalesce.hh drives the dispatcher). */
-    struct Request
-    {
-        std::vector<Engine::PairRequest> pairs;
-        std::shared_ptr<const ModelVersion> version;
-        std::function<void(Result<std::vector<double>>)> complete;
-        Priority priority = Priority::kInteractive;
-        std::string tenant;
-        std::uint64_t traceId = 0;
-        std::chrono::steady_clock::time_point submitted;
-        std::chrono::steady_clock::time_point enqueued;
-        std::chrono::steady_clock::time_point dequeued;
-        std::chrono::steady_clock::time_point deadline =
-            std::chrono::steady_clock::time_point::max();
-    };
+    class Workers;
 
-    /** Fan-in for a request split across shards. */
-    struct JoinState
-    {
-        std::mutex mutex;
-        std::vector<double> values;
-        Status error;
-        std::size_t remaining = 0;
-        std::function<void(Result<std::vector<double>>)> complete;
-    };
-
-    /** Outcome of one RPC round-trip. */
-    enum class Rpc
-    {
-        Ok,
-        /** No (complete) reply within the deadline: worker hung. */
-        Timeout,
-        /** Socket closed / torn frame / protocol violation: worker
-         * crashed (or is treated as crashed). */
-        Closed,
-    };
-
-    /** One shard: queue + dispatcher thread + supervised process.
-     * proc-prefixed fields are guarded by rpcMutex (whoever holds it
-     * owns the socket AND the supervision state); the counters below
-     * statsMutex are the stats() snapshot. */
-    struct Shard
-    {
-        std::unique_ptr<BoundedQueue<Request>> queue;
-        std::thread dispatcher;
-
-        std::mutex rpcMutex;
-        FdGuard fd;
-        pid_t pid = -1;
-        bool up = false;
-        std::uint64_t generation = 0;
-        std::uint64_t nextFrameId = 1;
-        unsigned consecutiveFailures = 0;
-        std::chrono::steady_clock::time_point nextSpawnAllowed{};
-        bool breakerOpen = false;
-        std::chrono::steady_clock::time_point breakerOpenedAt{};
-        /** Restart stamps inside the flap window. */
-        std::deque<std::chrono::steady_clock::time_point>
-            recentRestarts;
-
-        /** EXACT mirror of the worker's resident latents: an LRU
-         * evicts nothing until its distinct-insert count exceeds
-         * capacity, so while this set stays within cachePerWorker
-         * every member is provably resident and serveBatch ships
-         * only unknown trees (steady state: a zero-tree encode
-         * frame). Cleared on respawn (cold cache); abandoned for the
-         * worker's lifetime once the capacity is exceeded
-         * (residentOverflow — eviction order is no longer knowable
-         * parent-side, so every batch ships all its trees again).
-         * rpcMutex guards both. */
-        std::unordered_set<AstDigest, AstDigestHash> residentDigests;
-        bool residentOverflow = false;
-
-        /** Lock-free mirrors for stats()/gauges. */
-        std::atomic<std::uint64_t> restarts{0};
-        std::atomic<bool> upFlag{false};
-        std::atomic<bool> degradedFlag{false};
-        std::atomic<pid_t> pidFlag{-1};
-        std::atomic<std::uint64_t> generationFlag{0};
-
-        mutable std::mutex statsMutex;
-        std::uint64_t batches = 0;
-        std::uint64_t pairsServed = 0;
-        Histogram batchSizes;
-        Histogram latencyUs;
-        std::unordered_map<std::string, Histogram> tenantLatencyUs;
-
-        /** Per-shard registry instruments (null w/o metrics). */
-        Counter* restartsMetric = nullptr;
-        Gauge* upMetric = nullptr;
-        Gauge* degradedMetric = nullptr;
-        WindowedHistogram* heartbeatMetric = nullptr;
-    };
-
-    struct TenantCounters
-    {
-        std::uint64_t submitted = 0;
-        std::uint64_t completed = 0;
-        std::uint64_t failed = 0;
-        std::uint64_t rejectedQuota = 0;
-        std::uint64_t rejectedDeadline = 0;
-    };
-
-    bool submitCore(
-        const SubmitOptions& submitOpts,
-        std::vector<Engine::PairRequest> pairs,
-        std::function<void(Result<std::vector<double>>)> complete);
-
-    /** Split validated pairs into (shard, Request) slices; same
-     * join machinery as ShardedServer but the target shard index is
-     * returned alongside each slice (per-shard queues). */
-    std::vector<std::pair<std::size_t, Request>> splitRequest(
-        std::vector<Engine::PairRequest> pairs,
-        std::function<void(Result<std::vector<double>>)> complete,
-        const SubmitOptions& submitOpts,
-        std::chrono::steady_clock::time_point submitStart);
-
-    void initMetrics();
-    /** Batch-lane flush budget (0 option = 8 x maxBatchDelay). */
-    std::chrono::microseconds batchClassDelay() const;
-    /** Spawn workers, dispatchers and the supervisor;
-     * lifecycleMutex_ held. */
-    void startWorkersLocked();
-    void dispatcherLoop(std::size_t shard);
-    /** Execute one coalesced batch against shard s's worker (both
-     * phases + failure handling). Takes rpcMutex. */
-    void serveBatch(std::size_t s, CoalescedBatch<Request>& batch);
-    /** Record one served batch into shard + registry counters and
-     * fan the probabilities out. */
-    void completeBatch(std::size_t s, CoalescedBatch<Request>& batch,
-                       const std::vector<double>& probs);
-    /** Fail every member of a batch with `status`. */
-    static void failBatch(CoalescedBatch<Request>& batch,
-                          const Status& status);
-
-    /** One ping/pong with per-call deadline; rpcMutex held. */
-    Rpc pingLocked(Shard& shard, std::chrono::milliseconds deadline,
-                   std::chrono::microseconds* latency = nullptr);
-    /** Send a frame and await its reply; rpcMutex held. */
-    Rpc rpcLocked(Shard& shard, ipc::MsgType type,
-                  const std::vector<std::uint8_t>& payload,
-                  std::chrono::milliseconds deadline,
-                  ipc::Frame* reply);
-    /** Write one request frame without waiting (serveBatch pipelines
-     * encode + compare into one worker wakeup); rpcMutex held.
-     * @return false when the peer is gone. */
-    bool sendRequestLocked(Shard& shard, ipc::MsgType type,
-                           const std::vector<std::uint8_t>& payload,
-                           std::uint64_t* id);
-    /** Write the pipelined request pair in a single send; rpcMutex
-     * held. @return false when the peer is gone. */
-    bool sendRequestPairLocked(Shard& shard, ipc::MsgType type1,
-                               const std::vector<std::uint8_t>& payload1,
-                               std::uint64_t* id1, ipc::MsgType type2,
-                               const std::vector<std::uint8_t>& payload2,
-                               std::uint64_t* id2);
-    /** Await the reply to frame `id`, skipping stale replies from
-     * abandoned earlier RPCs; rpcMutex held. */
-    Rpc awaitReplyLocked(Shard& shard, std::uint64_t id,
-                         std::chrono::milliseconds deadline,
-                         ipc::Frame* reply);
-
-    /** Ensure a live worker (respecting backoff gate + breaker
-     * half-open policy); rpcMutex held. @return true when up. */
-    bool ensureWorkerLocked(std::size_t s);
-    /** Mark the worker dead: SIGKILL + reap, count the restart,
-     * advance backoff, maybe open the breaker; rpcMutex held. */
-    void handleFailureLocked(std::size_t s);
-    /** fork/exec one worker and handshake; rpcMutex held. */
-    bool spawnLocked(std::size_t s);
-    /** Resolved worker binary path (cached). */
-    const std::string& workerBinary();
-
-    void supervisorLoop();
+    ProcessShardedServer(std::unique_ptr<Workers> workers,
+                         Options opts);
 
     Options opts_;
-    std::shared_ptr<const ModelVersion> version_;
-    std::string checkpoint_;
-    std::string workerBinary_;
-    std::vector<std::unique_ptr<Shard>> shards_;
-    ServerMetrics metrics_;
-
-    mutable std::mutex lifecycleMutex_;
-    bool started_ = false;
-    bool shutdown_ = false;
-
-    std::thread supervisor_;
-    std::mutex supervisorMutex_;
-    std::condition_variable supervisorCv_;
-    bool supervisorStop_ = false;
-
-    mutable std::mutex submitMutex_;
-    std::uint64_t submitted_ = 0;
-    std::uint64_t rejectedShed_ = 0;
-    std::uint64_t rejectedShutdown_ = 0;
-    std::uint64_t rejectedQuota_ = 0;
-    std::uint64_t rejectedDeadline_ = 0;
-    std::uint64_t completed_ = 0;
-    std::uint64_t failed_ = 0;
-    std::unordered_map<std::string, TenantCounters> tenants_;
+    Workers& workers_;
 };
 
 } // namespace ccsa

@@ -6,7 +6,7 @@
  * residents/bytes per namespace, live model versions, admission
  * bucket fill, SLO burn rate) are snapshots of someone else's
  * state: they have to be pulled. Probes are std::function<void()>
- * closures (AsyncServer::sampleMetrics, ShardedServer's, an
+ * closures (ShardedServer::sampleMetrics, ProcessShardedServer's, an
  * AdmissionController::publishMetrics bind, SloTracker
  * publishGauges) that the sampler runs every period; after each
  * sweep it optionally dumps the registry's exposition to a file, so

@@ -5,8 +5,8 @@
  * retrained per problem family and redeployed without stopping the
  * ranking service. The registry is the seam that makes that real:
  * it maps a model NAME to an atomically-swappable, immutable
- * ModelVersion, and every serving layer (Engine, AsyncServer,
- * ShardedServer) resolves names through it.
+ * ModelVersion, and every serving layer (Engine, the serving front
+ * end behind ShardedServer) resolves names through it.
  *
  * Hot-swap is RCU-style: publish()/load() build the new version off
  * to the side, then swap the name's shared_ptr under the registry

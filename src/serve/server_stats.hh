@@ -1,9 +1,10 @@
 /**
  * @file
- * ServerStats — a point-in-time snapshot of an AsyncServer's
- * observable state: queue pressure, request volume, dynamic-batching
- * effectiveness (batch count + batch-size histogram), end-to-end
- * request latency percentiles, and the wrapped Engine's counters
+ * ServerStats — a point-in-time snapshot of a server's (or one
+ * shard's) observable state: queue pressure, request volume,
+ * dynamic-batching effectiveness (batch count + batch-size
+ * histogram), end-to-end request latency percentiles, and the
+ * wrapped Engine's counters
  * (including the encoding cache's hit/miss/eviction counts, so cache
  * efficacy is observable rather than inferred from benchmarks).
  */
@@ -63,7 +64,8 @@ struct TenantStats
     double latencyP99Ms = 0.0;
 };
 
-/** Snapshot of AsyncServer counters; see AsyncServer::stats(). */
+/** Snapshot of serving counters; see ShardedServer::stats() and
+ * ProcessShardedServer::stats(). */
 struct ServerStats
 {
     // ------------------------------------------------ queue pressure
@@ -184,10 +186,11 @@ void fillLatencyPercentiles(ServerStats& stats);
 void fillTenantPercentiles(TenantStats& row);
 
 /**
- * Registry-owned inline instruments shared by both server flavours
- * (AsyncServer and ShardedServer label them {server="async"} /
- * {server="sharded"}). Fetched once at server construction so the
- * hot path updates atomics without a registry lookup. Two servers
+ * Registry-owned inline instruments of the serving front end
+ * (ShardedServer and ProcessShardedServer label them
+ * {server="sharded"} / {server="ipc"}). Fetched once at server
+ * construction so the hot path updates atomics without a registry
+ * lookup. Two servers
  * of the same flavour sharing one registry share these counters —
  * the metrics plane is process-wide by design.
  */

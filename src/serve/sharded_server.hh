@@ -1,90 +1,64 @@
 /**
  * @file
- * ccsa::ShardedServer — N batcher workers over a partitioned
- * encoding cache. AsyncServer (PR 2) scaled request *admission*
- * (many producers, one queue) but kept a single batcher: one thread
- * executes every coalesced batch, one mutex-guarded LRU holds every
- * latent, and one engine's serial sections (digesting, cache walk,
- * classifier head, promise fan-out) bound throughput. ShardedServer
- * scales the execution side:
+ * ccsa::ShardedServer — the serving front end (serve/front_end.hh)
+ * over N in-process shards: N Engines over one partitioned encoding
+ * cache, so up to N coalesced batches are in flight at once.
  *
- *  - N worker threads consume the SAME BoundedQueue (work-stealing
- *    load balance: an idle worker takes whatever is next), each
- *    running the AsyncServer coalescing loop against its own Engine,
- *    so up to N batches are in flight at once.
+ *  - The N shard threads consume the SAME request queue (work
+ *    stealing: an idle shard takes whatever is next), each running
+ *    the front end's coalescing loop against its own Engine.
  *  - All N engines share one ShardedEncodingCache: the key space is
  *    partitioned by AST structural digest (digest % numShards), each
  *    partition is an independently-locked LRU, so a tree's latent
- *    lives on exactly one shard no matter which worker encoded it,
- *    workers only contend when their trees hash to the same
+ *    lives on exactly one partition no matter which shard encoded
+ *    it, shards only contend when their trees hash to the same
  *    partition, and aggregate cache capacity scales with the shard
- *    count at a fixed per-shard memory budget.
- *  - Cross-shard requests are split and joined: a multi-pair request
- *    is broken into per-shard sub-requests (grouped by the owning
- *    partition of each pair's first tree) that different workers
- *    execute concurrently, and a join fans the slices back into one
- *    result in request order. submitRank rides the same machinery —
- *    Engine::tournamentPairs to split, Engine::aggregateTournament
- *    to join — so a big tournament parallelises across shards.
+ *    count at a fixed per-partition memory budget.
+ *  - Multi-pair requests split into per-shard slices that different
+ *    shards execute concurrently and join back in request order, so
+ *    a big request or tournament parallelises across shards.
  *
- * Determinism contract: identical to AsyncServer's. Every pair's
- * probability is produced by Engine::compareMany, whose per-pair
- * output is independent of batch composition, worker assignment, and
- * shard count, so results are bitwise-identical to a synchronous
- * Engine on the same weights at 1, 2, 4, or 8 shards
- * (tests/test_sharded_server.cc pins this under a multi-producer
- * stress schedule).
+ * One shard is the single-batcher server: one thread, one engine,
+ * one cross-request coalescing loop.
+ *
+ * Determinism contract: every pair's probability is produced by
+ * Engine::compareMany, whose per-pair output is independent of batch
+ * composition, shard assignment and shard count, so results are
+ * bitwise-identical to a synchronous Engine on the same weights at
+ * 1, 2, 4, or 8 shards (tests/test_sharded_server.cc pins this under
+ * a multi-producer stress schedule).
  *
  * Stats: per-shard ServerStats plus an aggregate whose latency
- * percentiles are derived from the MERGED per-shard latency
- * histograms (mergeServerStats) — never by averaging per-shard
- * percentiles, which is statistically wrong.
+ * percentiles come from the MERGED per-shard latency histograms
+ * (mergeServerStats) — never from averaging per-shard percentiles.
+ * The per-shard engine rows report each shard's PARTITION of the
+ * shared cache, so they sum to the cache's own counters.
  *
  * Multi-model serving: construct over a ModelRegistry and submit
- * with model names. Names resolve to immutable ModelVersion
- * snapshots AT ADMISSION (a request admitted before a hot swap
- * completes on the version it was admitted under); each worker tick
- * executes one engine call per (model version, pairs) group of its
- * coalesced batch; and the shared cache keys latents by
+ * with SubmitOptions().withModel(name). Names resolve to immutable
+ * ModelVersion snapshots AT ADMISSION (a request admitted before a
+ * hot swap completes on the version it was admitted under); each
+ * shard executes one engine call per (model version, pairs) group of
+ * its coalesced batch; and the shared cache keys latents by
  * (version id, digest), so models and hot-swapped versions occupy
- * isolated namespaces while all N workers still share each
+ * isolated namespaces while every shard still shares each
  * version's latents. Per model, results stay bitwise-identical to a
  * dedicated single-model Engine at any shard count.
- *
- * Failure semantics, lifetime, and shutdown-drain match AsyncServer:
- * per-request Status, trees outlive their futures, shutdown()
- * answers everything accepted before joining the workers.
  */
 
 #ifndef CCSA_SERVE_SHARDED_SERVER_HH
 #define CCSA_SERVE_SHARDED_SERVER_HH
 
-#include <atomic>
-#include <chrono>
 #include <cstddef>
-#include <cstdint>
-#include <functional>
-#include <future>
 #include <memory>
-#include <mutex>
-#include <optional>
-#include <string>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
-#include "base/bounded_queue.hh"
-#include "base/result.hh"
-#include "base/stats.hh"
-#include "serve/admission/admission_controller.hh"
 #include "serve/engine.hh"
+#include "serve/front_end.hh"
 #include "serve/server_stats.hh"
-#include "serve/trace/trace_recorder.hh"
 
 namespace ccsa
 {
-
-class SloTracker;
 
 /** Fleet-plus-per-shard snapshot; see ShardedServer::stats(). */
 struct ShardedServerStats
@@ -93,131 +67,28 @@ struct ShardedServerStats
      * batching/latency/engine fields are the per-shard rows merged
      * (latency percentiles from the merged histogram). */
     ServerStats aggregate;
-    /** One row per shard: that worker's batching volume and latency
+    /** One row per shard: its batching volume and latency
      * distribution, its engine's encode volume, and its cache
      * PARTITION's hit/miss/eviction/size counters (request-level
      * and queue fields stay zero — those are global). */
     std::vector<ServerStats> shards;
 };
 
-/** N-worker sharded serving front over one request queue. */
-class ShardedServer
+/** The serving front end over N in-process engines. */
+class ShardedServer : public FrontEnd
 {
   public:
-    /** Builder-style serving options. */
-    struct Options
+    /** The shared front-end options plus the in-process knob. */
+    struct Options : FrontEndOptionsBuilder<Options>
     {
-        /** Worker threads == engines == cache partitions. */
-        std::size_t numShards = 4;
-        /** Max requests waiting in the shared queue. */
-        std::size_t queueCapacity = 1024;
-        /** Flush a worker's batch once it holds this many pairs. */
-        std::size_t maxBatchSize = 256;
-        /** Flush once the oldest INTERACTIVE member waited this
-         * long. */
-        std::chrono::microseconds maxBatchDelay{500};
-        /** Flush budget of the BATCH priority lane (see
-         * serve/coalesce.hh and AsyncServer::Options). 0 = "8 x
-         * maxBatchDelay"; clamped up to maxBatchDelay. */
-        std::chrono::microseconds maxBatchClassDelay{0};
-        /** Optional per-tenant admission gate shared by every submit
-         * endpoint (not owned; must outlive the server). */
-        AdmissionController* admission = nullptr;
-        /** Optional span sink (not owned; must outlive the server).
-         * A split request records one chain PER SHARD SLICE, with
-         * the executing worker's index as the lane/tid. */
-        TraceRecorder* trace = nullptr;
         /** Encoder threads inside EACH shard engine. The default of
          * 1 (inline) is right when numShards already covers the
          * cores; raise it for few shards + huge batches. */
         int threadsPerShard = 1;
-        /** Do not start the workers until start(). */
-        bool startPaused = false;
-        /** Optional process-wide metrics plane (not owned; must
-         * outlive the server). Counters update inline under
-         * {server="sharded"}; pull-style gauges publish on
-         * sampleMetrics(). */
-        MetricsRegistry* metrics = nullptr;
-        /** Optional SLO accountant fed one event per SHARD SLICE a
-         * worker completes (not owned; must outlive the server).
-         * Slice latency bounds the caller-observed latency from
-         * below — see ServerStats::latencyUs. */
-        SloTracker* slo = nullptr;
-        /** Window shape for ccsa_request_latency_us. The FIRST
-         * server (of either flavour) to record into the family fixes
-         * its shape process-wide (MetricsRegistry family
-         * semantics). */
-        WindowedHistogram::Options metricsWindow;
-
-        Options& withNumShards(std::size_t n)
-        {
-            numShards = n == 0 ? 1 : n;
-            return *this;
-        }
-
-        Options& withQueueCapacity(std::size_t n)
-        {
-            queueCapacity = n;
-            return *this;
-        }
-
-        Options& withMaxBatchSize(std::size_t n)
-        {
-            maxBatchSize = n == 0 ? 1 : n;
-            return *this;
-        }
-
-        Options& withMaxBatchDelay(std::chrono::microseconds d)
-        {
-            maxBatchDelay = d;
-            return *this;
-        }
-
-        Options& withMaxBatchClassDelay(std::chrono::microseconds d)
-        {
-            maxBatchClassDelay = d;
-            return *this;
-        }
-
-        Options& withAdmission(AdmissionController* controller)
-        {
-            admission = controller;
-            return *this;
-        }
-
-        Options& withTrace(TraceRecorder* recorder)
-        {
-            trace = recorder;
-            return *this;
-        }
 
         Options& withThreadsPerShard(int n)
         {
             threadsPerShard = n;
-            return *this;
-        }
-
-        Options& withStartPaused(bool paused)
-        {
-            startPaused = paused;
-            return *this;
-        }
-
-        Options& withMetrics(MetricsRegistry* registry)
-        {
-            metrics = registry;
-            return *this;
-        }
-
-        Options& withSlo(SloTracker* tracker)
-        {
-            slo = tracker;
-            return *this;
-        }
-
-        Options& withMetricsWindow(WindowedHistogram::Options w)
-        {
-            metricsWindow = w;
             return *this;
         }
     };
@@ -240,239 +111,31 @@ class ShardedServer
     /**
      * Multi-model serving: every shard engine resolves model names
      * through the same registry, over one shared namespace-aware
-     * cache. Submit with the model-name overloads; hot-swap by
-     * publishing to the registry while traffic flows.
+     * cache. Hot-swap by publishing to the registry while traffic
+     * flows.
      */
     ShardedServer(std::shared_ptr<ModelRegistry> registry,
                   Engine::Options engineOpts, Options opts);
 
-    /** Equivalent to shutdown(). */
-    ~ShardedServer();
-
-    ShardedServer(const ShardedServer&) = delete;
-    ShardedServer& operator=(const ShardedServer&) = delete;
-
-    /** Submit one comparison; same contract as AsyncServer. The
-     * model-name overloads serve a named registry model. */
-    std::future<Result<double>> submitCompare(const Ast& first,
-                                              const Ast& second);
-    std::future<Result<double>> submitCompare(
-        const std::string& model, const Ast& first,
-        const Ast& second);
-    std::future<Result<double>> submitCompare(
-        const SubmitOptions& submitOpts, const Ast& first,
-        const Ast& second);
-
-    /**
-     * Submit a pair batch; resolves to one probability per pair in
-     * request order. Multi-pair requests are split into per-shard
-     * sub-requests executed by different workers and joined back in
-     * order — the result is bitwise-identical to
-     * Engine::compareMany on the whole batch.
-     */
-    std::future<Result<std::vector<double>>>
-    submitCompareMany(std::vector<Engine::PairRequest> pairs);
-    std::future<Result<std::vector<double>>>
-    submitCompareMany(const std::string& model,
-                      std::vector<Engine::PairRequest> pairs);
-    std::future<Result<std::vector<double>>>
-    submitCompareMany(const SubmitOptions& submitOpts,
-                      std::vector<Engine::PairRequest> pairs);
-
-    /**
-     * Submit a ranking tournament: tournamentPairs splits it across
-     * shards, aggregateTournament joins it, so the ranking is
-     * bitwise-identical to Engine::rank.
-     */
-    std::future<Result<std::vector<Engine::RankedCandidate>>>
-    submitRank(std::vector<const Ast*> candidates);
-    std::future<Result<std::vector<Engine::RankedCandidate>>>
-    submitRank(const std::string& model,
-               std::vector<const Ast*> candidates);
-    std::future<Result<std::vector<Engine::RankedCandidate>>>
-    submitRank(const SubmitOptions& submitOpts,
-               std::vector<const Ast*> candidates);
-
-    /**
-     * Non-blocking submitCompare: nullopt when the queue lacks room
-     * (nothing was enqueued). A shut-down server still returns a
-     * future carrying Unavailable.
-     */
-    std::optional<std::future<Result<double>>>
-    trySubmitCompare(const Ast& first, const Ast& second);
-    std::optional<std::future<Result<double>>>
-    trySubmitCompare(const std::string& model, const Ast& first,
-                     const Ast& second);
-    std::optional<std::future<Result<double>>>
-    trySubmitCompare(const SubmitOptions& submitOpts,
-                     const Ast& first, const Ast& second);
-
-    /**
-     * Non-blocking submitCompareMany. Admission is all-or-nothing:
-     * either every per-shard piece of the request fits in the queue
-     * or none is enqueued and nullopt is returned — a load-shed
-     * request never leaves half of itself behind.
-     */
-    std::optional<std::future<Result<std::vector<double>>>>
-    trySubmitCompareMany(std::vector<Engine::PairRequest> pairs);
-    std::optional<std::future<Result<std::vector<double>>>>
-    trySubmitCompareMany(const std::string& model,
-                         std::vector<Engine::PairRequest> pairs);
-    std::optional<std::future<Result<std::vector<double>>>>
-    trySubmitCompareMany(const SubmitOptions& submitOpts,
-                         std::vector<Engine::PairRequest> pairs);
-
-    /** Start the workers if construction was startPaused. */
-    void start();
-
-    /**
-     * Stop accepting requests, drain and answer everything already
-     * accepted (starting the workers if they never ran), then join
-     * all N workers. Idempotent.
-     */
-    void shutdown();
-
-    /** @return true once shutdown() has completed. */
-    bool isShutdown() const;
-
     /** Aggregate + per-shard counters snapshot. */
     ShardedServerStats stats() const;
 
-    /** Publish the pull-style gauges (queue depth/capacity, live
-     * models, per-namespace cache levels) to the attached registry;
-     * no-op without one. Wire as a MetricsSampler probe. */
-    void sampleMetrics() const;
-
-    std::size_t numShards() const { return workers_.size(); }
     const Options& options() const { return opts_; }
 
     /** Shard s's engine (shares the model and the cache). */
     Engine& shardEngine(std::size_t s);
 
     /** The shared partitioned cache. */
-    ShardedEncodingCache& cache() { return *cache_; }
-    const ShardedEncodingCache& cache() const { return *cache_; }
+    ShardedEncodingCache& cache();
+    const ShardedEncodingCache& cache() const;
 
   private:
-    /** One queued unit: a per-shard slice of a client request,
-     * pinned to the ModelVersion resolved at admission. */
-    struct Request
-    {
-        std::vector<Engine::PairRequest> pairs;
-        std::shared_ptr<const ModelVersion> version;
-        std::function<void(Result<std::vector<double>>)> complete;
-        /** Scheduling lane (serve/coalesce.hh two-lane flush). */
-        Priority priority = Priority::kInteractive;
-        /** Admission tenant ("" = default tenant). */
-        std::string tenant;
-        /** TraceRecorder chain id, PER SLICE; 0 = untraced. */
-        std::uint64_t traceId = 0;
-        /** submitCore entry — the admission trace span's start. */
-        std::chrono::steady_clock::time_point submitted;
-        std::chrono::steady_clock::time_point enqueued;
-        /** Stamped by the Coalescer when popped (queue-span end). */
-        std::chrono::steady_clock::time_point dequeued;
-        /** Absolute submit-side deadline (max() = none); a worker
-         * answers an expired slice with DeadlineExceeded instead of
-         * encoding it. A split request's join propagates the first
-         * slice's error, so however many slices expire the CLIENT
-         * request resolves (and is counted) once. */
-        std::chrono::steady_clock::time_point deadline =
-            std::chrono::steady_clock::time_point::max();
-    };
+    class Engines;
 
-    /** Fan-in for a request split across shards. */
-    struct JoinState
-    {
-        std::mutex mutex;
-        std::vector<double> values;
-        Status error; // Ok until the first failing slice
-        std::size_t remaining = 0;
-        std::function<void(Result<std::vector<double>>)> complete;
-    };
-
-    /** A worker: one thread, one engine, its own counters. */
-    struct Worker
-    {
-        std::unique_ptr<Engine> engine;
-        std::thread thread;
-        mutable std::mutex mutex;
-        std::uint64_t batches = 0;
-        std::uint64_t pairsServed = 0;
-        Histogram batchSizes;
-        Histogram latencyUs;
-        /** Per-tenant latency of the SLICES this worker served;
-         * merged across workers into the aggregate's tenant rows. */
-        std::unordered_map<std::string, Histogram> tenantLatencyUs;
-    };
-
-    /** Submit-side per-tenant counters (latency lives per worker). */
-    struct TenantCounters
-    {
-        std::uint64_t submitted = 0;
-        std::uint64_t completed = 0;
-        std::uint64_t failed = 0;
-        std::uint64_t rejectedQuota = 0;
-        std::uint64_t rejectedDeadline = 0;
-    };
-
-    bool submitCore(
-        const SubmitOptions& submitOpts,
-        std::vector<Engine::PairRequest> pairs,
-        std::function<void(Result<std::vector<double>>)> complete,
-        bool blocking);
-
-    /** Split validated pairs into per-shard Requests wired to one
-     * completion (directly, or through a JoinState when the request
-     * crosses shards); every slice pins `version` and carries the
-     * submit's tenant/priority (each slice gets its own trace
-     * chain — a split request is N concurrent pipeline walks). */
-    std::vector<Request> splitRequest(
-        std::vector<Engine::PairRequest> pairs,
-        std::shared_ptr<const ModelVersion> version,
-        std::function<void(Result<std::vector<double>>)> complete,
-        const SubmitOptions& submitOpts,
-        std::chrono::steady_clock::time_point submitStart);
-
-    /** Fetch the inline registry instruments; no-op without an
-     * attached registry. */
-    void initMetrics();
-
-    void workerLoop(std::size_t shard);
-    /** Emit one slice's five-span chain (no-op when untraced). */
-    void recordTrace(const Request& request,
-                     const Engine::PhaseTiming& timing,
-                     std::uint32_t lane);
-    /** The batch lane's flush budget after defaulting (0 -> 8x
-     * maxBatchDelay). */
-    std::chrono::microseconds batchClassDelay() const;
-
-    /** Spawn all worker threads; caller holds lifecycleMutex_. */
-    void startWorkersLocked();
+    ShardedServer(std::unique_ptr<Engines> engines, Options opts);
 
     Options opts_;
-    std::shared_ptr<ShardedEncodingCache> cache_;
-    BoundedQueue<Request> queue_;
-    std::vector<std::unique_ptr<Worker>> workers_;
-    /** Registry-owned inline instruments ({server="sharded"});
-     * null members when no registry is attached. */
-    ServerMetrics metrics_;
-
-    /** Guards the worker-thread lifecycle (start/shutdown). */
-    mutable std::mutex lifecycleMutex_;
-    bool started_ = false;
-    bool shutdown_ = false;
-
-    /** Guards the request-level counters below. */
-    mutable std::mutex submitMutex_;
-    std::uint64_t submitted_ = 0;
-    std::uint64_t rejectedShed_ = 0;
-    std::uint64_t rejectedShutdown_ = 0;
-    std::uint64_t rejectedQuota_ = 0;
-    std::uint64_t rejectedDeadline_ = 0;
-    std::uint64_t completed_ = 0;
-    std::uint64_t failed_ = 0;
-    std::unordered_map<std::string, TenantCounters> tenants_;
+    Engines& engines_;
 };
 
 } // namespace ccsa

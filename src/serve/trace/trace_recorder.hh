@@ -3,8 +3,8 @@
  * ccsa::TraceRecorder — per-request span recording for the serving
  * layer, exported as chrome://tracing JSON (the "trace event
  * format" Chrome, Perfetto, and speedscope all open). Attach one to
- * an AsyncServer or ShardedServer and every request it executes
- * leaves a five-span chain:
+ * a ShardedServer or ProcessShardedServer (serve/front_end.hh) and
+ * every request slice it executes leaves a five-span chain:
  *
  *   admission -> queue -> coalesce -> encode -> score
  *
@@ -14,7 +14,8 @@
  * batch-lane holdover), and encode/score the request's share of the
  * engine call that answered it (shared by every member of its
  * per-model group — the whole group encodes and scores together, so
- * the group window IS each member's window).
+ * the group window IS each member's window). Across the process
+ * boundary the encode and score spans end at the RPC replies.
  *
  * Recording is cheap enough for the serving hot path: spans are
  * POD-sized appends into preallocated storage under a mutex held

@@ -648,19 +648,26 @@ pickRows(const std::vector<Var>& sources,
 {
     if (sources.empty())
         panic("pickRows: no sources");
-    int cols = sources[0].value().cols();
-    for (const auto& s : sources)
-        if (s.value().cols() != cols)
-            panic("pickRows: column mismatch");
-    Tensor v = outTensor(static_cast<int>(picks.size()), cols);
-    for (std::size_t i = 0; i < picks.size(); ++i) {
-        auto [src, row] = picks[i];
+    // Validate only the sources a pick names: the tree-LSTM level
+    // pass hands in every earlier level, so checking them all would
+    // make a deep schedule quadratic in its depth.
+    int cols = picks.empty() ? sources[0].value().cols() : -1;
+    for (auto [src, row] : picks) {
         if (src < 0 || src >= static_cast<int>(sources.size()))
             panic("pickRows: source ", src, " out of range");
         const Tensor& t = sources[src].value();
+        if (cols < 0)
+            cols = t.cols();
+        else if (t.cols() != cols)
+            panic("pickRows: column mismatch");
         if (row < 0 || row >= t.rows())
             panic("pickRows: row ", row, " out of range for source ",
                   src);
+    }
+    Tensor v = outTensor(static_cast<int>(picks.size()), cols);
+    for (std::size_t i = 0; i < picks.size(); ++i) {
+        auto [src, row] = picks[i];
+        const Tensor& t = sources[src].value();
         std::copy(t.data() + static_cast<std::size_t>(row) * cols,
                   t.data() + static_cast<std::size_t>(row + 1) * cols,
                   v.data() + i * static_cast<std::size_t>(cols));

@@ -4,7 +4,7 @@
  * per-tenant token-bucket AdmissionController (driven by a manual
  * clock — no sleeps), the two-lane deadline-aware Coalescer, the
  * TraceRecorder span sink and its chrome-trace export, and their
- * integration into AsyncServer / ShardedServer. The pinned
+ * integration into the serving front end (ShardedServer). The pinned
  * contracts: quotas and priorities never change a result (futures
  * stay bitwise-identical to the synchronous Engine, at 1/2/4/8
  * shards), a dry bucket answers with ResourceExhausted and a
@@ -23,7 +23,6 @@
 
 #include "frontend/parser.hh"
 #include "serve/admission/admission_controller.hh"
-#include "serve/async_server.hh"
 #include "serve/coalesce.hh"
 #include "serve/sharded_server.hh"
 #include "serve/trace/trace_recorder.hh"
@@ -329,59 +328,22 @@ TEST(TraceRecorder, WriteJsonEmitsChromeTraceEvents)
     EXPECT_EQ(json.find("quote\"me"), std::string::npos);
 }
 
-// ------------------------------------------- AsyncServer admission
+// ------------------------------------------ ShardedServer admission
 
-TEST(AsyncServerAdmission, DryBucketResolvesResourceExhausted)
+TEST(ShardedServerAdmission, RejectionSplitAttributesEveryRejection)
 {
-    AdmissionController ac;
-    ac.setQuota("flood", {/*pairsPerSec=*/0.0, /*burst=*/1.0});
-    AsyncServer server(tinyOptions(),
-                       AsyncServer::Options().withAdmission(&ac));
-    Ast a = tinyProgram(1), b = tinyProgram(2);
-
-    SubmitOptions asFlood = SubmitOptions().withTenant("flood");
-    auto ok = server.submitCompare(asFlood, a, b);
-    auto rejected = server.submitCompare(asFlood, a, b);
-    // Unquoted tenants ride through untouched.
-    auto other = server.submitCompare(a, b);
-
-    EXPECT_TRUE(ok.get().isOk());
-    Result<double> r = rejected.get();
-    ASSERT_FALSE(r.isOk());
-    EXPECT_EQ(r.status().code(), StatusCode::ResourceExhausted);
-    EXPECT_TRUE(other.get().isOk());
-
-    ServerStats stats = server.stats();
-    EXPECT_EQ(stats.requestsRejectedQuota, 1u);
-    EXPECT_EQ(stats.requestsRejected, 1u);
-    EXPECT_EQ(stats.requestsSubmitted, 2u);
-
-    // Per-tenant rows: the flood tenant shows its rejection, the
-    // default tenant does not.
-    ASSERT_EQ(stats.tenants.size(), 2u);
-    EXPECT_EQ(stats.tenants[0].tenant, "");
-    EXPECT_EQ(stats.tenants[0].rejectedQuota, 0u);
-    EXPECT_EQ(stats.tenants[0].completed, 1u);
-    EXPECT_EQ(stats.tenants[1].tenant, "flood");
-    EXPECT_EQ(stats.tenants[1].submitted, 1u);
-    EXPECT_EQ(stats.tenants[1].completed, 1u);
-    EXPECT_EQ(stats.tenants[1].rejectedQuota, 1u);
-    EXPECT_GT(stats.tenants[1].latencyUs.count(), 0u);
-}
-
-TEST(AsyncServerAdmission, RejectionSplitAttributesEveryRejection)
-{
-    // Paused batcher + capacity-1 queue: the second trySubmit is a
+    // Paused shard + capacity-1 queue: the second trySubmit is a
     // deterministic load-shed.
-    AsyncServer server(tinyOptions(), AsyncServer::Options()
-                                          .withQueueCapacity(1)
-                                          .withStartPaused(true));
+    ShardedServer server(tinyOptions(), ShardedServer::Options()
+                                            .withNumShards(1)
+                                            .withQueueCapacity(1)
+                                            .withStartPaused(true));
     Ast a = tinyProgram(1), b = tinyProgram(2);
     auto accepted = server.trySubmitCompare(a, b);
     ASSERT_TRUE(accepted.has_value());
     EXPECT_FALSE(server.trySubmitCompare(a, b).has_value());
 
-    ServerStats mid = server.stats();
+    ServerStats mid = server.stats().aggregate;
     EXPECT_EQ(mid.requestsRejectedShed, 1u);
     EXPECT_EQ(mid.requestsRejectedShutdown, 0u);
     EXPECT_EQ(mid.requestsRejectedQuota, 0u);
@@ -392,55 +354,22 @@ TEST(AsyncServerAdmission, RejectionSplitAttributesEveryRejection)
     auto late = server.submitCompare(a, b);
     EXPECT_EQ(late.get().status().code(), StatusCode::Unavailable);
 
-    ServerStats done = server.stats();
+    ServerStats done = server.stats().aggregate;
     EXPECT_EQ(done.requestsRejectedShed, 1u);
     EXPECT_EQ(done.requestsRejectedShutdown, 1u);
     EXPECT_EQ(done.requestsRejected, 2u);
 }
 
-TEST(AsyncServerAdmission, PrioritiesNeverChangeResults)
-{
-    Engine reference(tinyOptions());
-    AsyncServer server(tinyOptions());
-
-    std::vector<Ast> pool;
-    for (int i = 1; i <= 6; ++i)
-        pool.push_back(tinyProgram(i));
-    std::vector<Engine::PairRequest> pairs;
-    for (std::size_t i = 0; i + 1 < pool.size(); ++i)
-        pairs.push_back({&pool[i], &pool[i + 1]});
-    std::vector<double> expected =
-        reference.compareMany(pairs).value();
-
-    // The same pairs, one request each, alternating lanes and
-    // tenants: scheduling may reorder and regroup them, but every
-    // future must match the synchronous engine bitwise.
-    std::vector<std::future<Result<double>>> futures;
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-        SubmitOptions opts =
-            SubmitOptions()
-                .withTenant(i % 2 == 0 ? "even" : "odd")
-                .withPriority(i % 2 == 0 ? Priority::kInteractive
-                                         : Priority::kBatch);
-        futures.push_back(server.submitCompare(
-            opts, *pairs[i].first, *pairs[i].second));
-    }
-    for (std::size_t i = 0; i < futures.size(); ++i) {
-        Result<double> r = futures[i].get();
-        ASSERT_TRUE(r.isOk());
-        EXPECT_EQ(r.value(), expected[i]) << "pair " << i;
-    }
-}
-
-TEST(AsyncServerAdmission, DeadlineFlushServesInteractiveFirst)
+TEST(ShardedServerAdmission, DeadlineFlushServesInteractiveFirst)
 {
     // Deterministic schedule: stage everything while paused, then
     // start. The batch lane's budget (60 s) cannot expire within
     // the test, so only the interactive deadline can trigger the
     // first flush.
-    AsyncServer server(
+    ShardedServer server(
         tinyOptions(),
-        AsyncServer::Options()
+        ShardedServer::Options()
+            .withNumShards(1)
             .withStartPaused(true)
             .withMaxBatchSize(1000)
             .withMaxBatchDelay(milliseconds(1))
@@ -470,17 +399,18 @@ TEST(AsyncServerAdmission, DeadlineFlushServesInteractiveFirst)
     for (auto& f : held)
         EXPECT_TRUE(f.get().isOk());
 
-    ServerStats stats = server.stats();
+    ServerStats stats = server.stats().aggregate;
     EXPECT_EQ(stats.requestsCompleted, 4u);
     // At least two flushes: the early interactive one and the drain.
     EXPECT_GE(stats.batches, 2u);
 }
 
-TEST(AsyncServerAdmission, TracedRequestsLeaveCompleteChains)
+TEST(ShardedServerAdmission, TracedRequestsLeaveCompleteChains)
 {
     TraceRecorder trace;
-    AsyncServer server(tinyOptions(),
-                       AsyncServer::Options().withTrace(&trace));
+    ShardedServer server(tinyOptions(), ShardedServer::Options()
+                                            .withNumShards(1)
+                                            .withTrace(&trace));
     Ast a = tinyProgram(1), b = tinyProgram(2);
 
     constexpr int kRequests = 4;
@@ -517,14 +447,14 @@ TEST(AsyncServerAdmission, TracedRequestsLeaveCompleteChains)
     }
 
     // Failed submissions leave NO spans.
-    AsyncServer second(tinyOptions(),
-                       AsyncServer::Options().withTrace(&trace));
-    auto bad = second.submitCompare("no-such-model", a, b);
+    ShardedServer second(tinyOptions(), ShardedServer::Options()
+                                            .withNumShards(1)
+                                            .withTrace(&trace));
+    auto bad = second.submitCompare(
+        SubmitOptions().withModel("no-such-model"), a, b);
     EXPECT_FALSE(bad.get().isOk());
     EXPECT_EQ(trace.spans().size(), spans.size());
 }
-
-// ------------------------------------------ ShardedServer admission
 
 TEST(ShardedServerAdmission, QuotaRejectionAndTenantRows)
 {

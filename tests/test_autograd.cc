@@ -107,6 +107,26 @@ TEST(Autograd, GatherRowsOutOfRangePanics)
     EXPECT_THROW(ag::gatherRows(t, {3}), PanicError);
 }
 
+TEST(Autograd, PickRowsChecksOnlyThePickedSources)
+{
+    ag::Var narrow = ag::leaf(patterned(2, 3, 0.5f));
+    ag::Var wide = ag::leaf(patterned(1, 5, 0.5f));
+    // `wide` is never picked, so its column count does not matter:
+    // the level pass hands pickRows every earlier level and must not
+    // pay to validate the ones it skips.
+    ag::Var picked = ag::pickRows({narrow, wide}, {{0, 1}, {0, 0}});
+    ASSERT_EQ(picked.value().rows(), 2);
+    ASSERT_EQ(picked.value().cols(), 3);
+    for (int j = 0; j < 3; ++j) {
+        EXPECT_EQ(picked.value().at(0, j), narrow.value().at(1, j));
+        EXPECT_EQ(picked.value().at(1, j), narrow.value().at(0, j));
+    }
+    // Picking from both still demands one column count.
+    EXPECT_THROW(ag::pickRows({narrow, wide}, {{0, 0}, {1, 0}}),
+                 PanicError);
+    EXPECT_THROW(ag::pickRows({narrow, wide}, {{2, 0}}), PanicError);
+}
+
 TEST(Autograd, StackRowsValuesAndGradients)
 {
     // Mixed row counts: 1 + 2 + 1 rows -> 4 x 3.

@@ -1,13 +1,18 @@
 /**
  * @file
- * Lexer and parser tests for the MiniCxx frontend.
+ * Lexer and parser tests for the MiniCxx frontend, including its
+ * nesting bound: hostile nesting comes back as a Status from
+ * Engine::parseSource instead of overflowing the stack.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "base/logging.hh"
 #include "frontend/lexer.hh"
 #include "frontend/parser.hh"
+#include "serve/engine.hh"
 
 namespace ccsa
 {
@@ -297,6 +302,65 @@ TEST(Parser, UnbalancedBraceFatal)
 {
     EXPECT_THROW(parseSource("int main() { if (1) { }"),
                  FatalError);
+}
+
+/** `int main() { return <depth parens around 1>; }` — the return
+ * statement and its expression hold two levels, each parenthesis
+ * one more. */
+std::string
+nestedParens(int depth)
+{
+    return "int main() { return " + std::string(depth, '(') + "1" +
+        std::string(depth, ')') + "; }";
+}
+
+/** A function body holding `depth` nested blocks (one level each). */
+std::string
+nestedBlocks(int depth)
+{
+    return "int main() " + std::string(depth + 1, '{') +
+        std::string(depth + 1, '}');
+}
+
+/** `return -!-!...1;` with `depth` unary operators. */
+std::string
+unaryChain(int depth)
+{
+    std::string ops;
+    for (int i = 0; i < depth; ++i)
+        ops += i % 2 == 0 ? '-' : '!';
+    return "int main() { return " + ops + "1; }";
+}
+
+TEST(Parser, HostileNestingReturnsStatus)
+{
+    for (const std::string& source :
+         {nestedParens(100000), nestedBlocks(100000),
+          unaryChain(100000)}) {
+        Result<Ast> parsed = Engine::parseSource(source);
+        ASSERT_FALSE(parsed.isOk());
+        EXPECT_EQ(parsed.status().code(), StatusCode::InvalidArgument);
+        EXPECT_NE(parsed.status().message().find("nesting"),
+                  std::string::npos);
+    }
+}
+
+TEST(Parser, NestingJustUnderTheBoundParses)
+{
+    // The bound is 1,000 levels; the enclosing statement and
+    // expression take two of them.
+    Result<Ast> parens = Engine::parseSource(nestedParens(998));
+    ASSERT_TRUE(parens.isOk()) << parens.status().toString();
+    EXPECT_FALSE(Engine::parseSource(nestedParens(999)).isOk());
+
+    Result<Ast> blocks = Engine::parseSource(nestedBlocks(1000));
+    ASSERT_TRUE(blocks.isOk()) << blocks.status().toString();
+    EXPECT_FALSE(Engine::parseSource(nestedBlocks(1001)).isOk());
+
+    Result<Ast> unary = Engine::parseSource(unaryChain(998));
+    ASSERT_TRUE(unary.isOk()) << unary.status().toString();
+    EXPECT_EQ(unary.value().countKind(NodeKind::Negate), 499);
+    EXPECT_FALSE(Engine::parseSource(unaryChain(999)).isOk());
 }
 
 TEST(Parser, ParseAndPrunePipeline)

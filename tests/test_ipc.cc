@@ -24,7 +24,12 @@
  *    opens the circuit breaker and degrades only its own shard;
  *  - SubmitOptions deadlines expire queued requests with
  *    DeadlineExceeded and the conservation identity
- *    submitted == completed + failed + deadline holds once drained.
+ *    submitted == completed + failed + deadline holds once drained;
+ *  - the shared front end's observability and load shedding hold
+ *    across the process boundary: every successful slice leaves one
+ *    complete trace chain (encode and score ending at the RPC
+ *    replies) plus one SLO event, and a trySubmit split across
+ *    per-shard queues is admitted all-or-nothing.
  */
 
 #include <gtest/gtest.h>
@@ -36,6 +41,7 @@
 #include <chrono>
 #include <cstring>
 #include <future>
+#include <map>
 #include <thread>
 #include <vector>
 
@@ -49,6 +55,8 @@
 #include "serve/ipc/wire.hh"
 #include "serve/ipc/worker.hh"
 #include "serve/metrics/metrics.hh"
+#include "serve/metrics/slo_tracker.hh"
+#include "serve/trace/trace_recorder.hh"
 
 namespace ccsa
 {
@@ -662,6 +670,128 @@ TEST(ProcessShardedServer, SplitJoinAndRankParity)
         EXPECT_EQ(ranked.value()[k].meanProbFaster,
                   expectedRank[k].meanProbFaster);
     }
+}
+
+TEST(ProcessShardedServer, TracedSlicesLeaveCompleteChains)
+{
+    std::vector<Ast> trees;
+    for (int i = 1; i <= 6; ++i)
+        trees.push_back(tinyProgram(i));
+    std::vector<Engine::PairRequest> pairs;
+    for (std::size_t i = 0; i < trees.size(); ++i)
+        for (std::size_t j = 0; j < trees.size(); ++j)
+            if (i != j)
+                pairs.push_back({&trees[i], &trees[j]});
+
+    TraceRecorder trace;
+    MetricsRegistry registry;
+    SloTracker slo(registry);
+    slo.setObjective("model", "",
+                     SloTracker::Objective()
+                         .withLatencyThresholdUs(1)); // all bad
+    ProcessShardedServer server(
+        tinyModel(), ipcOptions(2).withTrace(&trace).withSlo(&slo));
+    ASSERT_TRUE(server.submitCompareMany(pairs).get().isOk());
+    for (int k = 0; k < 3; ++k)
+        ASSERT_TRUE(
+            server.submitCompare(trees[0], trees[1]).get().isOk());
+    server.shutdown();
+
+    // One chain per served slice: the split request leaves one per
+    // shard it touched, each single compare one more.
+    ProcessShardedServerStats stats = server.stats();
+    std::uint64_t slices = stats.aggregate.latencyUs.count();
+    ASSERT_GE(slices, 4u);
+    std::vector<TraceRecorder::Span> spans = trace.spans();
+    ASSERT_EQ(spans.size(), slices * kTracePhases);
+    std::map<std::uint64_t, std::map<TracePhase, TraceRecorder::Span>>
+        chains;
+    for (const TraceRecorder::Span& s : spans) {
+        EXPECT_LT(s.lane, server.numShards());
+        EXPECT_TRUE(chains[s.chain].emplace(s.phase, s).second)
+            << "duplicate phase in chain " << s.chain;
+    }
+    ASSERT_EQ(chains.size(), slices);
+    const TracePhase order[] = {TracePhase::Admission,
+                                TracePhase::Queue, TracePhase::Coalesce,
+                                TracePhase::Encode, TracePhase::Score};
+    for (const auto& [chain, phases] : chains) {
+        ASSERT_EQ(phases.size(), kTracePhases) << "chain " << chain;
+        // The five spans tile the slice's life: each starts where
+        // the previous one ended.
+        for (std::size_t p = 1; p < kTracePhases; ++p) {
+            const TraceRecorder::Span& prev = phases.at(order[p - 1]);
+            const TraceRecorder::Span& cur = phases.at(order[p]);
+            EXPECT_EQ(cur.startUs, prev.startUs + prev.durUs)
+                << "chain " << chain << " phase " << p;
+        }
+    }
+
+    // SLO accounting rides the same per-slice path: a 1 us
+    // threshold makes every slice bad.
+    EXPECT_EQ(registry
+                  .counter("ccsa_slo_bad_total",
+                           {{"model", "model"}, {"tenant", ""}})
+                  .value(),
+              slices);
+}
+
+TEST(ProcessShardedServer, TrySubmitIsAllOrNothingAcrossShardQueues)
+{
+    // Two trees owned by different workers, so a request over both
+    // splits into one slice per shard queue.
+    std::vector<Ast> pool;
+    for (int i = 1; i <= 8; ++i)
+        pool.push_back(tinyProgram(i));
+    std::size_t shard0 =
+        ShardedEncodingCache::shardOf(digestAst(pool[0]), 2);
+    int other = -1;
+    for (std::size_t i = 1; i < pool.size(); ++i) {
+        if (ShardedEncodingCache::shardOf(digestAst(pool[i]), 2) !=
+            shard0) {
+            other = static_cast<int>(i);
+            break;
+        }
+    }
+    ASSERT_GE(other, 0) << "pool unexpectedly hashed to one shard";
+    const Ast& mine = pool[0];
+    const Ast& theirs = pool[static_cast<std::size_t>(other)];
+
+    ProcessShardedServer server(tinyModel(), ipcOptions(2)
+                                                 .withStartPaused(true)
+                                                 .withQueueCapacity(1));
+    // Fill shard0's one-slot queue.
+    auto first = server.trySubmitCompare(mine, theirs);
+    ASSERT_TRUE(first.has_value());
+    ProcessShardedServerStats filled = server.stats();
+    EXPECT_EQ(filled.shards[shard0].queueDepth, 1u);
+    EXPECT_EQ(filled.shards[1 - shard0].queueDepth, 0u);
+
+    // The split request fits the other queue but not shard0's: it is
+    // shed whole, leaving no slice stranded in the other queue.
+    std::vector<Engine::PairRequest> crossShard{{&mine, &theirs},
+                                                {&theirs, &mine}};
+    EXPECT_FALSE(server.trySubmitCompareMany(crossShard).has_value());
+    ProcessShardedServerStats shed = server.stats();
+    EXPECT_EQ(shed.aggregate.queueDepth, 1u);
+    EXPECT_EQ(shed.shards[1 - shard0].queueDepth, 0u);
+    EXPECT_EQ(shed.aggregate.requestsRejectedShed, 1u);
+
+    // A single pair for the other shard still fits its own queue.
+    auto second = server.trySubmitCompare(theirs, mine);
+    ASSERT_TRUE(second.has_value());
+    EXPECT_EQ(server.stats().aggregate.queueDepth, 2u);
+
+    // Accepted work is answered once draining starts.
+    server.shutdown();
+    Engine reference(tinyOptions());
+    EXPECT_EQ(first->get().value(),
+              reference.compare(mine, theirs).value());
+    EXPECT_EQ(second->get().value(),
+              reference.compare(theirs, mine).value());
+    ProcessShardedServerStats done = server.stats();
+    EXPECT_EQ(done.aggregate.requestsCompleted, 2u);
+    EXPECT_EQ(done.aggregate.requestsRejected, 1u);
 }
 
 TEST(ProcessShardedServer, DeadlineExpiresWhileQueued)

@@ -10,8 +10,8 @@
  * and family-kind conflicts; SloTracker burn-rate rise and
  * recovery; MetricsSampler probes and exposition dumps; the
  * TraceRecorder drop counter; EncodingCache resident-byte
- * accounting; and the end-to-end wiring through AsyncServer /
- * ShardedServer / Engine.
+ * accounting; and the end-to-end wiring through ShardedServer (one
+ * and two shards) / Engine.
  */
 
 #include <gtest/gtest.h>
@@ -26,7 +26,6 @@
 
 #include "base/logging.hh"
 #include "frontend/parser.hh"
-#include "serve/async_server.hh"
 #include "serve/encoding_cache.hh"
 #include "serve/metrics/metrics.hh"
 #include "serve/metrics/metrics_sampler.hh"
@@ -597,19 +596,19 @@ TEST(EncodingCache, QuantizedResidentBytesReflectStoredSize)
 
 // --------------------------------------- serving-spine integration
 
-TEST(ServingMetrics, AsyncServerFeedsTheRegistry)
+TEST(ServingMetrics, OneShardServerFeedsTheRegistry)
 {
     MetricsRegistry registry;
     SloTracker slo(registry);
     slo.setObjective("model", "",
                      SloTracker::Objective()
                          .withLatencyThresholdUs(1)); // all bad
-    Engine engine(tinyOptions().withMetrics(&registry));
-    AsyncServer server(engine,
-                       AsyncServer::Options()
-                           .withMaxBatchDelay(microseconds(50))
-                           .withMetrics(&registry)
-                           .withSlo(&slo));
+    ShardedServer server(tinyOptions().withMetrics(&registry),
+                         ShardedServer::Options()
+                             .withNumShards(1)
+                             .withMaxBatchDelay(microseconds(50))
+                             .withMetrics(&registry)
+                             .withSlo(&slo));
     Ast a = tinyProgram(1);
     Ast b = tinyProgram(2);
     for (int i = 0; i < 4; ++i)
@@ -617,23 +616,24 @@ TEST(ServingMetrics, AsyncServerFeedsTheRegistry)
     server.shutdown();
     server.sampleMetrics();
 
-    MetricLabels sub{{"server", "async"}, {"outcome", "submitted"}};
-    MetricLabels done{{"server", "async"}, {"outcome", "completed"}};
+    MetricLabels sub{{"server", "sharded"}, {"outcome", "submitted"}};
+    MetricLabels done{{"server", "sharded"}, {"outcome", "completed"}};
     EXPECT_EQ(registry.counter("ccsa_requests_total", sub).value(),
               4u);
     EXPECT_EQ(registry.counter("ccsa_requests_total", done).value(),
               4u);
     EXPECT_GE(registry
                   .counter("ccsa_batches_total",
-                           {{"server", "async"}})
+                           {{"server", "sharded"}})
                   .value(),
               1u);
 
-    // Latency histogram: one sample per request, labeled with the
-    // classic-mode model name and default tenant.
+    // Latency histogram: one sample per request (a single shard
+    // never splits), labeled with the classic-mode model name and
+    // default tenant.
     WindowedHistogram& lat = registry.windowedHistogram(
         "ccsa_request_latency_us",
-        {{"server", "async"},
+        {{"server", "sharded"},
          {"model", "model"},
          {"tenant", ""},
          {"priority", "interactive"}});
@@ -653,11 +653,11 @@ TEST(ServingMetrics, AsyncServerFeedsTheRegistry)
     // Gauges published by sampleMetrics.
     EXPECT_GT(registry
                   .gauge("ccsa_cache_residents",
-                         {{"server", "async"}, {"model", "model"}})
+                         {{"server", "sharded"}, {"model", "model"}})
                   .value(),
               0.0);
     EXPECT_EQ(registry
-                  .gauge("ccsa_queue_depth", {{"server", "async"}})
+                  .gauge("ccsa_queue_depth", {{"server", "sharded"}})
                   .value(),
               0.0);
 }
@@ -710,11 +710,11 @@ TEST(ServingMetrics, QuotaRejectionsCount)
                        AdmissionController::Quota{/*pairsPerSec=*/
                                                   0.000001,
                                                   /*burst=*/1.0});
-    Engine engine(tinyOptions());
-    AsyncServer server(engine,
-                       AsyncServer::Options()
-                           .withAdmission(&admission)
-                           .withMetrics(&registry));
+    ShardedServer server(tinyOptions(),
+                         ShardedServer::Options()
+                             .withNumShards(1)
+                             .withAdmission(&admission)
+                             .withMetrics(&registry));
     Ast a = tinyProgram(1);
     Ast b = tinyProgram(2);
     SubmitOptions opts = SubmitOptions().withTenant("t");
@@ -722,7 +722,7 @@ TEST(ServingMetrics, QuotaRejectionsCount)
     EXPECT_FALSE(server.submitCompare(opts, a, b).get().isOk());
     server.shutdown();
 
-    MetricLabels quota{{"server", "async"},
+    MetricLabels quota{{"server", "sharded"},
                        {"outcome", "rejected_quota"}};
     EXPECT_EQ(registry.counter("ccsa_requests_total", quota).value(),
               1u);

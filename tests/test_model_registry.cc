@@ -22,7 +22,6 @@
 
 #include "base/rng.hh"
 #include "frontend/parser.hh"
-#include "serve/async_server.hh"
 #include "serve/model_registry.hh"
 #include "serve/sharded_server.hh"
 
@@ -384,9 +383,9 @@ TEST(Engine, RegistryModeWithEmptyRegistryFailsRequestsNotProcess)
     EXPECT_TRUE(multi.compare(a, b).isOk());
 }
 
-// ------------------------------------- multi-model async serving
+// ---------------------------------- multi-model one-shard serving
 
-TEST(AsyncServer, ServesNamedModelsAndIsolatesUnknownNames)
+TEST(ShardedServer, ServesNamedModelsAndIsolatesUnknownNames)
 {
     auto modelA = std::make_shared<ComparativePredictor>(tinyConfig(), 7);
     auto modelB = std::make_shared<ComparativePredictor>(tinyConfig(), 8);
@@ -396,13 +395,17 @@ TEST(AsyncServer, ServesNamedModelsAndIsolatesUnknownNames)
 
     Engine dedicatedA(modelA, tinyOptions());
     Engine dedicatedB(modelB, tinyOptions());
-    AsyncServer server(registry);
+    ShardedServer server(registry, tinyOptions(),
+                         ShardedServer::Options().withNumShards(1));
 
     Ast x = tinyProgram(2), y = tinyProgram(4);
-    auto fa = server.submitCompare("a", x, y);
-    auto fb = server.submitCompare("b", x, y);
+    auto fa = server.submitCompare(SubmitOptions().withModel("a"), x,
+                                   y);
+    auto fb = server.submitCompare(SubmitOptions().withModel("b"), x,
+                                   y);
     auto fdef = server.submitCompare(x, y);
-    auto fbad = server.submitCompare("nope", x, y);
+    auto fbad =
+        server.submitCompare(SubmitOptions().withModel("nope"), x, y);
 
     EXPECT_EQ(fa.get().value(), dedicatedA.compare(x, y).value());
     EXPECT_EQ(fb.get().value(), dedicatedB.compare(x, y).value());
@@ -413,7 +416,7 @@ TEST(AsyncServer, ServesNamedModelsAndIsolatesUnknownNames)
     EXPECT_EQ(bad.status().code(), StatusCode::InvalidArgument);
 
     server.shutdown();
-    ServerStats stats = server.stats();
+    ServerStats stats = server.stats().aggregate;
     EXPECT_EQ(stats.requestsFailed, 1u);
     EXPECT_EQ(stats.requestsCompleted, 3u);
     ASSERT_EQ(stats.models.size(), 2u);
@@ -421,7 +424,7 @@ TEST(AsyncServer, ServesNamedModelsAndIsolatesUnknownNames)
     EXPECT_EQ(stats.models[1].name, "b");
 }
 
-TEST(AsyncServer, MixedModelBatchExecutesPerVersionGroups)
+TEST(ShardedServer, MixedModelBatchExecutesPerVersionGroups)
 {
     auto modelA = std::make_shared<ComparativePredictor>(tinyConfig(), 7);
     auto modelB = std::make_shared<ComparativePredictor>(tinyConfig(), 8);
@@ -432,10 +435,12 @@ TEST(AsyncServer, MixedModelBatchExecutesPerVersionGroups)
     Engine dedicatedB(modelB, tinyOptions());
 
     // startPaused: all six requests land in ONE coalesced batch, so
-    // the batcher must split it per version and fan back correctly.
-    AsyncServer server(registry, AsyncServer::Options()
-                                     .withStartPaused(true)
-                                     .withMaxBatchSize(64));
+    // the shard must split it per version and fan back correctly.
+    ShardedServer server(registry, tinyOptions(),
+                         ShardedServer::Options()
+                             .withNumShards(1)
+                             .withStartPaused(true)
+                             .withMaxBatchSize(64));
     std::vector<Ast> trees;
     for (int i = 1; i <= 4; ++i)
         trees.push_back(tinyProgram(i));
@@ -445,7 +450,8 @@ TEST(AsyncServer, MixedModelBatchExecutesPerVersionGroups)
         const Ast& x = trees[static_cast<std::size_t>(k % 3)];
         const Ast& y = trees[static_cast<std::size_t>(k % 3) + 1];
         const char* name = k % 2 == 0 ? "a" : "b";
-        futures.push_back(server.submitCompare(name, x, y));
+        futures.push_back(server.submitCompare(
+            SubmitOptions().withModel(name), x, y));
         expected.push_back(
             (k % 2 == 0 ? dedicatedA : dedicatedB)
                 .compare(x, y)
@@ -487,8 +493,14 @@ TEST(ShardedServer, RegistryModeMatchesDedicatedEnginesAtAnyShardCount)
         ShardedServer server(
             registry, tinyOptions(),
             ShardedServer::Options().withNumShards(shards));
-        auto gotA = server.submitCompareMany("a", pairs).get();
-        auto gotB = server.submitCompareMany("b", pairs).get();
+        auto gotA = server
+                        .submitCompareMany(
+                            SubmitOptions().withModel("a"), pairs)
+                        .get();
+        auto gotB = server
+                        .submitCompareMany(
+                            SubmitOptions().withModel("b"), pairs)
+                        .get();
         ASSERT_TRUE(gotA.isOk()) << "shards=" << shards;
         ASSERT_TRUE(gotB.isOk()) << "shards=" << shards;
         for (std::size_t k = 0; k < pairs.size(); ++k) {
@@ -534,14 +546,17 @@ TEST(ShardedServer, RequestsAdmittedBeforeSwapCompleteOnOldVersion)
                              .withQueueCapacity(256));
     std::vector<std::future<Result<double>>> beforeSwap;
     for (int k = 0; k < 8; ++k)
-        beforeSwap.push_back(server.submitCompare("m", a, b));
-    auto beforeSplit = server.submitCompareMany("m", manyPairs);
+        beforeSwap.push_back(
+            server.submitCompare(SubmitOptions().withModel("m"), a, b));
+    auto beforeSplit = server.submitCompareMany(
+        SubmitOptions().withModel("m"), manyPairs);
 
     registry->publish("m", modelB); // the hot swap
 
     std::vector<std::future<Result<double>>> afterSwap;
     for (int k = 0; k < 8; ++k)
-        afterSwap.push_back(server.submitCompare("m", a, b));
+        afterSwap.push_back(
+            server.submitCompare(SubmitOptions().withModel("m"), a, b));
 
     server.shutdown();
 
@@ -639,7 +654,8 @@ TEST(ShardedServer, HotSwapStressEveryResponseMatchesOneVersion)
             for (const WorkItem& w :
                  schedule[static_cast<std::size_t>(c)])
                 futures.push_back(server.submitCompare(
-                    "m", trees[static_cast<std::size_t>(w.first)],
+                    SubmitOptions().withModel("m"),
+                    trees[static_cast<std::size_t>(w.first)],
                     trees[static_cast<std::size_t>(w.second)]));
             for (int k = 0; k < kRequestsPerClient; ++k) {
                 Result<double> got =

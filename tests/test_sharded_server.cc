@@ -1,21 +1,26 @@
 /**
  * @file
- * The ISSUE-4 stress/property harness for sharded serving. Pinned
- * contracts: ShardedServer results are bitwise-identical to the
- * synchronous Engine at 1, 2, and 4 shards under a deterministic
- * multi-producer schedule (seeded base/rng streams, precomputed
- * before any thread starts); cross-shard requests split and join
- * without reordering; shutdown drains every accepted request;
- * trySubmit load-shed is all-or-nothing even for requests split
- * across shards; and the stats aggregate is exactly the per-shard
- * rows merged (latency percentiles from merged histograms, cache
- * partitions summing to the shared cache).
+ * The stress/property harness for the serving front end over
+ * in-process shards, plus the BoundedQueue backpressure primitive
+ * under it. Pinned contracts: ShardedServer results are
+ * bitwise-identical to the synchronous Engine at 1, 2, and 4 shards
+ * under a deterministic multi-producer schedule (seeded base/rng
+ * streams, precomputed before any thread starts); cross-shard
+ * requests split and join without reordering; a paused single shard
+ * coalesces staged requests into one batch; shutdown drains every
+ * accepted request; trySubmit load-shed is all-or-nothing even for
+ * requests split across shards (and across queues); and the stats
+ * aggregate is exactly the per-shard rows merged (latency
+ * percentiles from merged histograms, cache partitions summing to
+ * the shared cache).
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <future>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -29,6 +34,7 @@ namespace
 {
 
 using std::chrono::microseconds;
+using std::chrono::milliseconds;
 
 Ast
 tinyProgram(int loops)
@@ -53,7 +59,130 @@ tinyOptions()
         .withThreads(1);
 }
 
-// ------------------------------------- BoundedQueue::tryPushAll
+// ---------------------------------------------------- BoundedQueue
+
+TEST(BoundedQueue, FifoPushPop)
+{
+    BoundedQueue<int> q(4);
+    EXPECT_EQ(q.push(1), QueuePush::Ok);
+    EXPECT_EQ(q.push(2), QueuePush::Ok);
+    EXPECT_EQ(q.size(), 2u);
+    EXPECT_EQ(q.pop().value(), 1);
+    EXPECT_EQ(q.pop().value(), 2);
+    EXPECT_EQ(q.size(), 0u);
+}
+
+TEST(BoundedQueue, TryPushReportsFullWithoutConsumingItem)
+{
+    BoundedQueue<std::string> q(1);
+    std::string a = "first", b = "second";
+    EXPECT_EQ(q.tryPush(std::move(a)), QueuePush::Ok);
+    EXPECT_EQ(q.tryPush(std::move(b)), QueuePush::Full);
+    EXPECT_EQ(b, "second"); // rejected item left untouched
+    EXPECT_EQ(q.pop().value(), "first");
+    EXPECT_EQ(q.tryPush(std::move(b)), QueuePush::Ok);
+}
+
+TEST(BoundedQueue, CloseDrainsRemainingThenReportsExhaustion)
+{
+    BoundedQueue<int> q(4);
+    ASSERT_EQ(q.push(10), QueuePush::Ok);
+    ASSERT_EQ(q.push(20), QueuePush::Ok);
+    q.close();
+    EXPECT_EQ(q.push(30), QueuePush::Closed);
+    EXPECT_EQ(q.tryPush(40), QueuePush::Closed);
+    EXPECT_EQ(q.pop().value(), 10);
+    EXPECT_EQ(q.pop().value(), 20);
+    EXPECT_FALSE(q.pop().has_value());
+    EXPECT_FALSE(q.popFor(microseconds(100)).has_value());
+}
+
+TEST(BoundedQueue, TryPopNeverBlocks)
+{
+    BoundedQueue<int> q(2);
+    EXPECT_FALSE(q.tryPop().has_value());
+    ASSERT_EQ(q.push(5), QueuePush::Ok);
+    EXPECT_EQ(q.tryPop().value(), 5);
+    q.close();
+    EXPECT_FALSE(q.tryPop().has_value());
+}
+
+TEST(BoundedQueue, PopForTimesOutOnEmptyQueue)
+{
+    BoundedQueue<int> q(2);
+    EXPECT_FALSE(q.popFor(microseconds(500)).has_value());
+    ASSERT_EQ(q.push(7), QueuePush::Ok);
+    EXPECT_EQ(q.popFor(microseconds(500)).value(), 7);
+}
+
+TEST(BoundedQueue, BlockedProducerUnblocksWhenSpaceFrees)
+{
+    BoundedQueue<int> q(1);
+    ASSERT_EQ(q.push(1), QueuePush::Ok);
+    std::atomic<bool> pushed{false};
+    std::thread producer([&] {
+        EXPECT_EQ(q.push(2), QueuePush::Ok); // blocks until pop
+        pushed = true;
+    });
+    std::this_thread::sleep_for(milliseconds(20));
+    EXPECT_FALSE(pushed.load());
+    EXPECT_EQ(q.pop().value(), 1);
+    producer.join();
+    EXPECT_TRUE(pushed.load());
+    EXPECT_EQ(q.pop().value(), 2);
+}
+
+TEST(BoundedQueue, BlockedProducerUnblocksOnClose)
+{
+    BoundedQueue<int> q(1);
+    ASSERT_EQ(q.push(1), QueuePush::Ok);
+    std::thread producer(
+        [&] { EXPECT_EQ(q.push(2), QueuePush::Closed); });
+    std::this_thread::sleep_for(milliseconds(20));
+    q.close();
+    producer.join();
+}
+
+TEST(BoundedQueue, CloseWakesEveryBlockedProducerItemsUntouched)
+{
+    // The shutdown contract from bounded_queue.hh: close() wakes ALL
+    // parked producers (not just one), each returns Closed with its
+    // item still in the caller's hands, and already-accepted items
+    // stay poppable (drain, not shed).
+    BoundedQueue<std::unique_ptr<int>> q(1);
+    ASSERT_EQ(q.push(std::make_unique<int>(0)), QueuePush::Ok);
+
+    constexpr int kProducers = 6;
+    std::atomic<int> closedCount{0};
+    std::atomic<int> itemsIntact{0};
+    std::vector<std::thread> producers;
+    for (int p = 1; p <= kProducers; ++p) {
+        producers.emplace_back([&, p] {
+            auto item = std::make_unique<int>(p);
+            if (q.push(std::move(item)) == QueuePush::Closed) {
+                closedCount++;
+                // Closed must leave the item unmoved — the serving
+                // layers rely on this to fail the request with an
+                // attributed status instead of losing it.
+                if (item != nullptr && *item == p)
+                    itemsIntact++;
+            }
+        });
+    }
+    std::this_thread::sleep_for(milliseconds(30));
+    q.close();
+    for (std::thread& t : producers)
+        t.join();
+    EXPECT_EQ(closedCount.load(), kProducers);
+    EXPECT_EQ(itemsIntact.load(), kProducers);
+
+    // Drain semantics: the one accepted item survives the close.
+    auto drained = q.pop();
+    ASSERT_TRUE(drained.has_value());
+    EXPECT_EQ(**drained, 0);
+    EXPECT_FALSE(q.pop().has_value());
+}
+
 
 TEST(BoundedQueue, TryPushAllIsAllOrNothing)
 {
@@ -82,6 +211,44 @@ TEST(BoundedQueue, TryPushAllIsAllOrNothing)
     std::vector<int> late{9};
     EXPECT_EQ(q.tryPushAll(late), QueuePush::Closed);
     EXPECT_EQ(late, (std::vector<int>{9}));
+}
+
+TEST(BoundedQueue, TryPushAllAcrossIsAllOrNothing)
+{
+    BoundedQueue<int> a(2);
+    BoundedQueue<int> b(1);
+    std::vector<int> fill{0};
+    ASSERT_EQ(b.tryPushAll(fill), QueuePush::Ok);
+
+    // b is full: the item bound for a must not enter either.
+    std::vector<BoundedQueue<int>*> targets{&a, &b};
+    std::vector<int> items{1, 2};
+    EXPECT_EQ(BoundedQueue<int>::tryPushAllAcross(targets, items),
+              QueuePush::Full);
+    EXPECT_EQ(a.size(), 0u);
+    EXPECT_EQ(b.size(), 1u);
+    EXPECT_EQ(items, (std::vector<int>{1, 2})); // untouched
+
+    // A queue's share counts every item routed to it.
+    std::vector<BoundedQueue<int>*> twiceA{&a, &a, &a};
+    std::vector<int> three{1, 2, 3};
+    EXPECT_EQ(BoundedQueue<int>::tryPushAllAcross(twiceA, three),
+              QueuePush::Full);
+    EXPECT_EQ(a.size(), 0u);
+
+    ASSERT_EQ(b.pop().value(), 0);
+    EXPECT_EQ(BoundedQueue<int>::tryPushAllAcross(targets, items),
+              QueuePush::Ok);
+    EXPECT_EQ(a.pop().value(), 1);
+    EXPECT_EQ(b.pop().value(), 2);
+
+    // Closed wins over Full, and leaves the items in place.
+    b.close();
+    std::vector<int> late{7, 8};
+    EXPECT_EQ(BoundedQueue<int>::tryPushAllAcross(targets, late),
+              QueuePush::Closed);
+    EXPECT_EQ(a.size(), 0u);
+    EXPECT_EQ(late, (std::vector<int>{7, 8}));
 }
 
 // ------------------------------------------------- ShardedServer
@@ -256,11 +423,44 @@ TEST(ShardedServer, DeterministicMultiProducerStressMatchesSyncPath)
         EXPECT_EQ(stats.aggregate.requestsFailed, 0u);
         EXPECT_EQ(stats.aggregate.pairsServed, total);
         EXPECT_GE(stats.aggregate.batches, 1u);
+        EXPECT_EQ(stats.aggregate.batchSizes.count(),
+                  stats.aggregate.batches);
+        EXPECT_EQ(stats.aggregate.batchSizes.sum(),
+                  stats.aggregate.pairsServed);
         // Every distinct tree is resident on exactly one partition
         // of the shared cache.
         EXPECT_EQ(server.cache().size(),
                   static_cast<std::size_t>(kTrees));
     }
+}
+
+TEST(ShardedServer, OneShardCoalescesStagedRequestsIntoOneBatch)
+{
+    Ast a = tinyProgram(1);
+    Ast b = tinyProgram(2);
+
+    ShardedServer server(tinyOptions(),
+                         ShardedServer::Options()
+                             .withNumShards(1)
+                             .withStartPaused(true)
+                             .withMaxBatchSize(10)
+                             .withMaxBatchDelay(milliseconds(50)));
+    std::vector<std::future<Result<double>>> futures;
+    for (int k = 0; k < 10; ++k)
+        futures.push_back(server.submitCompare(a, b));
+    EXPECT_EQ(server.stats().aggregate.queueDepth, 10u);
+
+    server.start();
+    for (auto& f : futures)
+        EXPECT_TRUE(f.get().isOk());
+
+    // All ten single-pair requests were staged before the shard ran,
+    // so they coalesce into exactly one full batch.
+    ServerStats stats = server.stats().aggregate;
+    EXPECT_EQ(stats.batches, 1u);
+    EXPECT_EQ(stats.pairsServed, 10u);
+    EXPECT_EQ(stats.batchSizes.max(), 10u);
+    EXPECT_EQ(stats.queueDepth, 0u);
 }
 
 TEST(ShardedServer, ShutdownDrainsEveryAcceptedRequest)
@@ -464,8 +664,8 @@ TEST(ShardedServer, TrySubmitOfSplitRequestAfterShutdownResolves)
     auto blocked = server.submitCompareMany(crossShard).get();
     ASSERT_FALSE(blocked.isOk());
     EXPECT_EQ(blocked.status().code(), StatusCode::Unavailable);
-    // Matching AsyncServer, a refused request counts as rejected
-    // ONLY — completed/failed/rejected stay disjoint outcomes.
+    // A refused request counts as rejected ONLY —
+    // completed/failed/rejected stay disjoint outcomes.
     EXPECT_EQ(server.stats().aggregate.requestsRejected, 2u);
     EXPECT_EQ(server.stats().aggregate.requestsFailed, 0u);
     EXPECT_EQ(server.stats().aggregate.requestsCompleted, 0u);
@@ -567,6 +767,31 @@ TEST(ShardedServer, StatsAggregateIsExactlyTheShardRowsMerged)
               stats.aggregate.latencyP99Ms);
     EXPECT_LE(stats.aggregate.latencyP99Ms,
               stats.aggregate.latencyMaxMs);
+}
+
+TEST(ShardedServer, OneShardStatsExposeEngineCacheCountersAndLatency)
+{
+    Ast a = tinyProgram(2);
+    Ast b = tinyProgram(4);
+    ShardedServer server(tinyOptions(),
+                         ShardedServer::Options().withNumShards(1));
+
+    // Same pair repeatedly: first batch encodes, later ones hit.
+    for (int round = 0; round < 3; ++round)
+        ASSERT_TRUE(server.submitCompare(a, b).get().isOk());
+
+    ServerStats stats = server.stats().aggregate;
+    EXPECT_EQ(stats.engine.treesEncoded, 2u);
+    EXPECT_GE(stats.engine.cacheHits, 2u);
+    EXPECT_GE(stats.engine.cacheMisses, 2u);
+    EXPECT_EQ(stats.engine.cacheSize, 2u);
+    EXPECT_EQ(stats.engine.pairsServed, 3u);
+    EXPECT_EQ(stats.queueCapacity, 1024u);
+
+    EXPECT_GE(stats.latencyP50Ms, 0.0);
+    EXPECT_GE(stats.latencyP99Ms, stats.latencyP50Ms);
+    EXPECT_GE(stats.latencyMaxMs, stats.latencyP99Ms);
+    EXPECT_GT(stats.latencyMaxMs, 0.0);
 }
 
 TEST(ShardedServer, ServesTrainedSharedModelAcrossAllShards)

@@ -7,17 +7,16 @@ Reads the JSON written by
 
 and fails (exit 1) on either of two regressions:
 
-1. ShardedServer losing its edge over the single-batcher AsyncServer
-   under interactive (depth-1 closed-loop) clients. The acceptance
-   bar from ISSUE 4 is sharded >= 1.5x the single-batcher aggregate
-   pairs/sec at 4 shards; the win there is mostly structural (a
-   4-way partitioned cache holds 4x the latents at the same
-   per-shard budget, so the deterministic re-encode count
-   collapses), which is why a throughput ratio makes a workable CI
-   gate: a regression in the cache partitioning, the split/join
-   path, or the worker loop shows up as the encode storm returning,
-   not as scheduler noise. A 1-shard sanity floor guards against
-   ShardedServer simply being slower plumbing than AsyncServer.
+1. ShardedServer losing its edge over its own one-shard
+   configuration (the single batcher) under interactive (depth-1
+   closed-loop) clients. The acceptance bar is sharded >= 1.5x the
+   one-shard aggregate pairs/sec at 4 shards; the win there is
+   mostly structural (a 4-way partitioned cache holds 4x the latents
+   at the same per-shard budget, so the deterministic re-encode
+   count collapses), which is why a throughput ratio makes a
+   workable CI gate: a regression in the cache partitioning, the
+   split/join path, or the shard loop shows up as the encode storm
+   returning, not as scheduler noise.
 
 2. ModelRegistry overhead (ISSUE 5): the same single-model batched
    workload through a registry-backed Engine must stay >= 0.95x the
@@ -34,7 +33,7 @@ and fails (exit 1) on either of two regressions:
    interactive flush shows up here as a p99 blow-up.
 
 4. Metrics-plane overhead (ISSUE 7): the same interactive workload
-   through a fully instrumented AsyncServer (MetricsRegistry +
+   through a fully instrumented one-shard server (MetricsRegistry +
    per-request latency histograms + SLO tracking + a background
    sampler) must stay >= 0.97x the bare server. Recording is relaxed
    atomic adds outside the server's stats mutex, so a lower ratio
@@ -62,12 +61,9 @@ import sys
 import bench_gate
 
 
-# shard count -> minimum sharded/single-batcher throughput ratio.
-# 4 shards is the ISSUE-4 acceptance bar; 1 shard is a plumbing
-# sanity check (same cache budget as the baseline, so parity minus
-# noise is expected — the floor only catches gross regressions).
+# shard count -> minimum sharded/one-shard throughput ratio; 4
+# shards is the ISSUE-4 acceptance bar.
 SHARD_FLOORS = {
-    1: 0.6,
     4: 1.5,
 }
 
@@ -79,7 +75,7 @@ REGISTRY_FLOOR = 0.95
 # helper applies unchanged.
 NOISY_NEIGHBOR_FLOOR = 1.0 / 3.0
 
-# Instrumented vs bare AsyncServer throughput (ISSUE 7).
+# Instrumented vs bare one-shard server throughput (ISSUE 7).
 METRICS_FLOOR = 0.97
 
 # ProcessShardedServer vs in-process ShardedServer at the same shard
@@ -93,7 +89,6 @@ IPC_SHARDS = 4
 def main() -> int:
     data = bench_gate.load_json(sys.argv, "BENCH_serve.json")
 
-    baseline = None
     sharded = {}
     direct = None
     registry = None
@@ -103,9 +98,7 @@ def main() -> int:
     metrics_on = None
     ipc = None
     for row in data.get("rows", []):
-        if row.get("mode") == "async_closed":
-            baseline = row
-        elif row.get("mode") == "sharded":
+        if row.get("mode") == "sharded":
             sharded[int(row.get("shards", 0))] = row
         elif (row.get("mode") == "ipc"
               and int(row.get("shards", 0)) == IPC_SHARDS):
@@ -123,12 +116,13 @@ def main() -> int:
         elif row.get("mode") == "metrics_on":
             metrics_on = row
 
+    baseline = sharded.get(1)
     if baseline is None or baseline.get("pairs_per_sec", 0) <= 0:
-        print("missing async_closed baseline row")
+        print("missing 1-shard sharded baseline row")
         return 1
 
     base_rate = baseline["pairs_per_sec"]
-    print(f"single-batcher baseline {base_rate:10.0f} pairs/s  "
+    print(f"one-shard baseline {base_rate:10.0f} pairs/s  "
           f"({baseline.get('trees_encoded', '?')} trees encoded)")
 
     ok = True
