@@ -19,9 +19,11 @@
 #include "tensor/arena.hh"
 #include "tensor/matmul_dispatch.hh"
 
-// The unbatched per-pair baseline shares the tests' oracle so every
-// consumer pins against one reference implementation.
+// The unbatched per-pair baseline and the reference front end share
+// the tests' oracles so every consumer pins against one reference
+// implementation.
 #include "../tests/oracle.hh"
+#include "../tests/oracle_frontend.hh"
 
 namespace
 {
@@ -467,6 +469,44 @@ BM_ParseSource(benchmark::State& state)
     state.SetBytesProcessed(state.iterations() * src.size());
 }
 BENCHMARK(BM_ParseSource);
+
+/**
+ * The serving front end on commit-style children — one program per
+ * generated family, ~1.2 KB, each with one inserted statement: the
+ * one-pass parseAndPrune (arg 0 == 1), which builds only the pruned
+ * tree from span tokens, vs the reference pipeline in
+ * oracle_frontend.hh (arg 0 == 0: owned-string tokens, the full tree,
+ * then a pruneToFunctions deep copy). Items/s is children parsed per
+ * second; check_bench_encode.py gates one-pass >= 2x the reference.
+ */
+void
+BM_ParseAndPrune(benchmark::State& state)
+{
+    const bool onePass = state.range(0) == 1;
+    std::vector<std::string> children;
+    for (int f = 0; f < kNumFamilies; ++f) {
+        auto gen = makeGenerator(static_cast<ProblemFamily>(f), 0);
+        Rng rng(static_cast<std::uint64_t>(f) + 1);
+        std::string child = gen->generate(rng).source;
+        std::size_t at = child.find("{\n", child.find("main")) + 2;
+        child.insert(at, "    int pb = 2 * 3 + 4 - 5 % 6;\n");
+        children.push_back(std::move(child));
+    }
+    std::size_t bytes = 0;
+    for (const std::string& child : children)
+        bytes += child.size();
+    for (auto _ : state)
+        for (const std::string& child : children)
+            benchmark::DoNotOptimize(onePass
+                                         ? parseAndPrune(child)
+                                         : oracle::parseAndPrune(child));
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(children.size()));
+    state.counters["bytes_per_child"] =
+        static_cast<double>(bytes) / static_cast<double>(children.size());
+    state.SetLabel(onePass ? "commit/one-pass" : "commit/oracle");
+}
+BENCHMARK(BM_ParseAndPrune)->Arg(1)->Arg(0)->Unit(benchmark::kMicrosecond);
 
 void
 BM_JudgeProgram(benchmark::State& state)

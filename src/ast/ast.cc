@@ -1,6 +1,7 @@
 #include "ast/ast.hh"
 
 #include <sstream>
+#include <utility>
 
 #include "base/logging.hh"
 
@@ -13,6 +14,33 @@ Ast::Ast(NodeKind root_kind)
     root.kind = root_kind;
     root.parent = -1;
     nodes_.push_back(std::move(root));
+}
+
+Ast::Ast(std::vector<AstNode> nodes) : nodes_(std::move(nodes))
+{
+    if (nodes_.empty() || nodes_[0].parent != -1)
+        panic("Ast: node 0 must be a root");
+    // Walk down from the root: every node must be reached exactly
+    // once, through a parent its own link names.
+    std::vector<bool> seen(nodes_.size(), false);
+    std::vector<int> stack{0};
+    seen[0] = true;
+    std::size_t reached = 1;
+    while (!stack.empty()) {
+        int cur = stack.back();
+        stack.pop_back();
+        for (int c : nodes_[cur].children) {
+            if (c <= 0 || c >= size() || seen[c] ||
+                nodes_[c].parent != cur)
+                panic("Ast: bad child link ", cur, " -> ", c);
+            seen[c] = true;
+            ++reached;
+            stack.push_back(c);
+        }
+    }
+    if (reached != nodes_.size())
+        panic("Ast: ", nodes_.size() - reached,
+              " nodes unreachable from the root");
 }
 
 int
@@ -127,30 +155,32 @@ Ast::visitPreorder(const std::function<void(int)>& fn) const
     }
 }
 
-namespace
-{
-
-void
-sexprRec(const Ast& ast, int id, std::ostringstream& os)
-{
-    const AstNode& n = ast.node(id);
-    os << "(" << nodeKindName(n.kind);
-    if (!n.text.empty())
-        os << ":" << n.text;
-    for (int c : n.children) {
-        os << " ";
-        sexprRec(ast, c, os);
-    }
-    os << ")";
-}
-
-} // namespace
-
 std::string
 Ast::toSExpression() const
 {
     std::ostringstream os;
-    sexprRec(*this, root(), os);
+    auto open = [&](int id) {
+        os << "(" << nodeKindName(nodes_[id].kind);
+        if (!nodes_[id].text.empty())
+            os << ":" << nodes_[id].text;
+    };
+    // (node, index of its next child to render); a loop rather than
+    // recursion, as addNode puts no bound on depth.
+    std::vector<std::pair<int, std::size_t>> stack{{root(), 0}};
+    open(root());
+    while (!stack.empty()) {
+        int id = stack.back().first;
+        std::size_t next = stack.back().second++;
+        const auto& ch = nodes_[id].children;
+        if (next == ch.size()) {
+            os << ")";
+            stack.pop_back();
+            continue;
+        }
+        os << " ";
+        open(ch[next]);
+        stack.emplace_back(ch[next], 0);
+    }
     return os.str();
 }
 
@@ -170,33 +200,6 @@ Ast::toDot() const
             os << "  n" << i << " -> n" << c << ";\n";
     os << "}\n";
     return os.str();
-}
-
-namespace
-{
-
-void
-copySubtree(const Ast& src, int src_id, Ast& dst, int dst_parent)
-{
-    const AstNode& n = src.node(src_id);
-    int id = dst.addNode(n.kind, dst_parent, n.text);
-    for (int c : n.children)
-        copySubtree(src, c, dst, id);
-}
-
-} // namespace
-
-Ast
-pruneToFunctions(const Ast& full)
-{
-    Ast pruned(NodeKind::Root);
-    // Collect function definitions in preorder; nested functions are
-    // impossible in MiniCxx, so these subtrees are disjoint.
-    for (int id : full.nodesOfKind(NodeKind::FunctionDef))
-        copySubtree(full, id, pruned, pruned.root());
-    if (pruned.size() == 1)
-        fatal("pruneToFunctions: no function definitions in input");
-    return pruned;
 }
 
 } // namespace ccsa

@@ -67,6 +67,18 @@ class Ast
     explicit Ast(NodeKind root_kind = NodeKind::Root);
 
     /**
+     * Adopt a finished node array, node 0 the root. Unlike addNode, a
+     * parent may come after its children (the parser creates an
+     * operator after its first operand).
+     * @throws PanicError unless the nodes form one tree rooted at 0
+     * whose parent and child links agree.
+     */
+    explicit Ast(std::vector<AstNode> nodes);
+
+    /** Pre-size the arena for `n` nodes. */
+    void reserve(int n) { nodes_.reserve(static_cast<std::size_t>(n)); }
+
+    /**
      * Append a node under an existing parent.
      * @return the new node id.
      */
@@ -111,13 +123,6 @@ class Ast
   private:
     std::vector<AstNode> nodes_;
 };
-
-/**
- * Prune a parsed translation unit per paper §IV-A: keep only the
- * subtrees of function definitions, re-hung as direct children of a
- * fresh root node.
- */
-Ast pruneToFunctions(const Ast& full);
 
 } // namespace ccsa
 

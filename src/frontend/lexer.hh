@@ -9,6 +9,7 @@
 #ifndef CCSA_FRONTEND_LEXER_HH
 #define CCSA_FRONTEND_LEXER_HH
 
+#include <string_view>
 #include <vector>
 
 #include "frontend/token.hh"
@@ -16,12 +17,16 @@
 namespace ccsa
 {
 
-/** Tokenise MiniCxx source text. */
+/**
+ * Tokenise MiniCxx source text. The lexer neither copies the source
+ * nor allocates per token: every token views the caller's source,
+ * which must outlive the tokens.
+ */
 class Lexer
 {
   public:
     /** @param source full program text. */
-    explicit Lexer(std::string source);
+    explicit Lexer(std::string_view source);
 
     /**
      * Lex the whole input.
@@ -36,14 +41,16 @@ class Lexer
     bool match(char expected);
     bool atEnd() const;
 
+    /** Advance over a run of characters in a newline-free class. */
+    void skipWhile(bool (*inClass)(char));
     void skipTrivia();
     Token lexNumber();
     Token lexIdentifier();
-    Token lexString();
-    Token lexChar();
-    Token makeToken(TokenKind kind, std::string text) const;
+    Token lexQuoted(char quote, TokenKind kind, const char* what);
+    /** The token that starts at `start` and ends at the cursor. */
+    Token makeToken(TokenKind kind, std::size_t start) const;
 
-    std::string src_;
+    std::string_view src_;
     std::size_t pos_ = 0;
     int line_ = 1;
     int col_ = 1;

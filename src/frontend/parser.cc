@@ -1,6 +1,9 @@
 #include "frontend/parser.hh"
 
-#include <algorithm>
+#include <deque>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "base/logging.hh"
 #include "frontend/lexer.hh"
@@ -10,26 +13,6 @@ namespace ccsa
 
 namespace
 {
-
-/**
- * Detach a just-parsed node from its parent and re-hang it under a new
- * operator node created in its place. Used by the expression parser to
- * build left-associative trees inside the arena.
- */
-int
-wrapNode(Ast& ast, int node, NodeKind op, const std::string& text = "")
-{
-    int parent = ast.node(node).parent;
-    auto& siblings = ast.node(parent).children;
-    auto it = std::find(siblings.begin(), siblings.end(), node);
-    if (it == siblings.end())
-        panic("wrapNode: node not registered with its parent");
-    siblings.erase(it);
-    int op_id = ast.addNode(op, parent, text);
-    ast.node(node).parent = op_id;
-    ast.node(op_id).children.push_back(node);
-    return op_id;
-}
 
 /** Binary operator precedence table; -1 means "not a binary op". */
 struct BinOp
@@ -84,6 +67,50 @@ isAssignToken(TokenKind t)
     return assignOpFor(t) != NodeKind::Root;
 }
 
+bool
+isTypeStart(TokenKind k)
+{
+    switch (k) {
+      case TokenKind::KwInt:
+      case TokenKind::KwLong:
+      case TokenKind::KwDouble:
+      case TokenKind::KwChar:
+      case TokenKind::KwBool:
+      case TokenKind::KwVoid:
+      case TokenKind::KwString:
+      case TokenKind::KwVector:
+      case TokenKind::KwConst:
+      case TokenKind::KwAuto:
+        return true;
+      default:
+        return false;
+    }
+}
+
+/**
+ * The text a token stands for: a string or char literal's characters
+ * with each backslash escape reduced to the escaped character (`\n`
+ * becomes `n`); every other token's own text. Node text and error
+ * messages carry this spelling.
+ */
+std::string
+tokenSpelling(const Token& token)
+{
+    if (token.kind != TokenKind::StringLit &&
+        token.kind != TokenKind::CharLit)
+        return std::string(token.text);
+    // The lexer only closes a literal on an unescaped quote, so every
+    // backslash inside the span has a character after it.
+    std::string out;
+    out.reserve(token.text.size());
+    for (std::size_t i = 0; i < token.text.size(); ++i) {
+        if (token.text[i] == '\\' && i + 1 < token.text.size())
+            ++i;
+        out.push_back(token.text[i]);
+    }
+    return out;
+}
+
 /**
  * Deepest nesting of statements, expressions and unary operands the
  * parser accepts. The recursive descent uses a few stack frames per
@@ -93,33 +120,169 @@ isAssignToken(TokenKind t)
  */
 constexpr int kMaxNestingDepth = 1000;
 
-} // namespace
-
-class Parser::Nesting
+/**
+ * One parse: the tokens, and the tree recorded into a flat node
+ * buffer whose ids follow creation order (root = 0). Children are
+ * linked lists, so re-hanging an operator over its first operand is
+ * a constant-time relink. Node text views the source, or the parse's
+ * pool when it is composed (types, `type|name` params, unescaped
+ * literals). The Ast is built from the buffer only at the end.
+ */
+class Parser
 {
   public:
-    explicit Nesting(Parser& parser) : parser_(parser)
-    {
-        if (++parser_.depth_ > kMaxNestingDepth)
-            fatal("parse error at line ", parser_.peek().line,
-                  ", col ", parser_.peek().col,
-                  ": nesting deeper than ", kMaxNestingDepth);
-    }
+    /** Lexes the whole source first, so lexical errors win. */
+    explicit Parser(std::string_view source);
 
-    ~Nesting() { --parser_.depth_; }
+    void parseTranslationUnit();
 
-    Nesting(const Nesting&) = delete;
-    Nesting& operator=(const Nesting&) = delete;
+    /** The whole tree, node ids in creation order. */
+    Ast emitFull() const;
+
+    /** Only the function-definition subtrees, in preorder. */
+    Ast emitFunctions() const;
 
   private:
-    Parser& parser_;
+    struct Node
+    {
+        Node(NodeKind k, int p, std::string_view t)
+            : kind(k), parent(p), text(t)
+        {
+        }
+
+        NodeKind kind;
+        int parent;
+        int firstChild = -1;
+        int lastChild = -1;
+        int prevSibling = -1;
+        int nextSibling = -1;
+        std::string_view text;
+    };
+
+    /** Holds one nesting level while a statement, expression or
+     * unary operand is being parsed; see kMaxNestingDepth. */
+    class Nesting
+    {
+      public:
+        explicit Nesting(Parser& parser) : parser_(parser)
+        {
+            if (++parser_.depth_ > kMaxNestingDepth)
+                fatal("parse error at line ", parser_.peek().line,
+                      ", col ", parser_.peek().col,
+                      ": nesting deeper than ", kMaxNestingDepth);
+        }
+
+        ~Nesting() { --parser_.depth_; }
+
+        Nesting(const Nesting&) = delete;
+        Nesting& operator=(const Nesting&) = delete;
+
+      private:
+        Parser& parser_;
+    };
+
+    int addNode(NodeKind kind, int parent, std::string_view text = {});
+    /** Append `child`, which has no siblings yet, to `parent`'s list. */
+    void link(int parent, int child);
+    /** Re-hang `node`, its parent's last child, under a new operator
+     * node that takes its place (left-associative expression trees). */
+    int wrapNode(int node, NodeKind op, std::string_view text = {});
+    std::string_view intern(std::string text);
+
+    const Token& peek(int ahead = 0) const;
+    const Token& advance();
+    bool check(TokenKind kind) const;
+    bool accept(TokenKind kind);
+    const Token& expect(TokenKind kind, const char* context);
+    [[noreturn]] void syntaxError(const char* context) const;
+    /** " 'spelling'" for the current token, or "" when it has none. */
+    std::string quotedSpelling() const;
+
+    /** Consume a '>' that may be the first half of a '>>' token. */
+    void expectTemplateClose();
+
+    std::string_view parseType();
+
+    void parseTopLevel();
+    void parseFunctionRest(std::string_view type, std::string_view name);
+    int parseBlock(int parent);
+    int parseStatement(int parent);
+    int parseDeclStmt(int parent);
+    void parseDeclaratorRest(int decl_stmt, std::string_view name);
+    void parseInitList(int var, TokenKind close, const char* context);
+
+    int parseExpression(int parent);
+    int parseAssignment(int parent);
+    int parseTernary(int parent);
+    int parseBinary(int parent, int min_prec);
+    int parseUnary(int parent);
+    int parsePostfix(int parent);
+    int parsePrimary(int parent);
+
+    std::vector<Token> tokens_;
+    std::vector<Node> nodes_;
+    /** Composed node text; a deque so views into it stay valid. */
+    std::deque<std::string> pool_;
+    /** Nodes under function definitions (the pruned size minus root). */
+    int functionNodes_ = 0;
+    std::size_t pos_ = 0;
+    int depth_ = 0;
 };
 
-Parser::Parser(std::vector<Token> tokens)
-    : tokens_(std::move(tokens))
+Parser::Parser(std::string_view source)
+    : tokens_(Lexer(source).tokenize())
 {
-    if (tokens_.empty() || tokens_.back().kind != TokenKind::Eof)
-        panic("Parser: token stream must end with Eof");
+    nodes_.reserve(tokens_.size() + 1);
+    nodes_.emplace_back(NodeKind::Root, -1, std::string_view());
+}
+
+int
+Parser::addNode(NodeKind kind, int parent, std::string_view text)
+{
+    int id = static_cast<int>(nodes_.size());
+    nodes_.emplace_back(kind, parent, text);
+    link(parent, id);
+    return id;
+}
+
+void
+Parser::link(int parent, int child)
+{
+    Node& p = nodes_[parent];
+    Node& c = nodes_[child];
+    c.parent = parent;
+    c.prevSibling = p.lastChild;
+    if (p.lastChild >= 0)
+        nodes_[p.lastChild].nextSibling = child;
+    else
+        p.firstChild = child;
+    p.lastChild = child;
+}
+
+int
+Parser::wrapNode(int node, NodeKind op, std::string_view text)
+{
+    int parent = nodes_[node].parent;
+    Node& p = nodes_[parent];
+    if (p.lastChild != node)
+        panic("wrapNode: node is not its parent's last child");
+    // Unlink the tail, append the operator in its place, then hang
+    // the node under it.
+    int prev = nodes_[node].prevSibling;
+    p.lastChild = prev;
+    if (prev >= 0)
+        nodes_[prev].nextSibling = -1;
+    else
+        p.firstChild = -1;
+    int op_id = addNode(op, parent, text);
+    link(op_id, node);
+    return op_id;
+}
+
+std::string_view
+Parser::intern(std::string text)
+{
+    return pool_.emplace_back(std::move(text));
 }
 
 const Token&
@@ -153,6 +316,13 @@ Parser::accept(TokenKind kind)
     return true;
 }
 
+std::string
+Parser::quotedSpelling() const
+{
+    std::string spelling = tokenSpelling(peek());
+    return spelling.empty() ? "" : " '" + spelling + "'";
+}
+
 const Token&
 Parser::expect(TokenKind kind, const char* context)
 {
@@ -160,7 +330,7 @@ Parser::expect(TokenKind kind, const char* context)
         fatal("parse error at line ", peek().line, ", col ",
               peek().col, ": expected ", tokenKindName(kind), " in ",
               context, ", found ", tokenKindName(peek().kind),
-              peek().text.empty() ? "" : " '" + peek().text + "'");
+              quotedSpelling());
     }
     return advance();
 }
@@ -169,9 +339,8 @@ void
 Parser::syntaxError(const char* context) const
 {
     fatal("parse error at line ", peek().line, ", col ", peek().col,
-          ": unexpected ", tokenKindName(peek().kind),
-          peek().text.empty() ? "" : " '" + peek().text + "'", " in ",
-          context);
+          ": unexpected ", tokenKindName(peek().kind), quotedSpelling(),
+          " in ", context);
 }
 
 void
@@ -185,75 +354,71 @@ Parser::expectTemplateClose()
         // Split '>>' into two '>' tokens: consume the first half by
         // rewriting the token in place.
         tokens_[pos_].kind = TokenKind::Greater;
-        tokens_[pos_].text = ">";
+        tokens_[pos_].text.remove_prefix(1);
         return;
     }
     syntaxError("template argument list");
 }
 
-bool
-Parser::atTypeStart() const
-{
-    switch (peek().kind) {
-      case TokenKind::KwInt:
-      case TokenKind::KwLong:
-      case TokenKind::KwDouble:
-      case TokenKind::KwChar:
-      case TokenKind::KwBool:
-      case TokenKind::KwVoid:
-      case TokenKind::KwString:
-      case TokenKind::KwVector:
-      case TokenKind::KwConst:
-      case TokenKind::KwAuto:
-        return true;
-      default:
-        return false;
-    }
-}
-
-std::string
+std::string_view
 Parser::parseType()
 {
+    // type := ["const"] base ["&"]; base := keyword | "long" ["long"]
+    // ["int"] | "vector" "<" type ">". Nested vector levels are
+    // walked in a loop, so no depth of them can exhaust the stack.
     std::string type;
-    if (accept(TokenKind::KwConst))
-        type += "const ";
-    switch (peek().kind) {
-      case TokenKind::KwInt:
-      case TokenKind::KwDouble:
-      case TokenKind::KwChar:
-      case TokenKind::KwBool:
-      case TokenKind::KwVoid:
-      case TokenKind::KwString:
-      case TokenKind::KwAuto:
-        type += advance().text;
+    int open_vectors = 0;
+    while (true) {
+        bool is_const = accept(TokenKind::KwConst);
+        if (is_const)
+            type += "const ";
+        switch (peek().kind) {
+          case TokenKind::KwInt:
+          case TokenKind::KwDouble:
+          case TokenKind::KwChar:
+          case TokenKind::KwBool:
+          case TokenKind::KwVoid:
+          case TokenKind::KwString:
+          case TokenKind::KwAuto: {
+            const Token& base = advance();
+            // A bare keyword type is its own token's text.
+            if (!is_const && open_vectors == 0 && !check(TokenKind::Amp))
+                return base.text;
+            type += base.text;
+            break;
+          }
+          case TokenKind::KwLong:
+            advance();
+            type += "long";
+            if (accept(TokenKind::KwLong))
+                type += " long";
+            accept(TokenKind::KwInt);
+            break;
+          case TokenKind::KwVector:
+            advance();
+            expect(TokenKind::Less, "vector type");
+            type += "vector<";
+            ++open_vectors;
+            continue;
+          default:
+            syntaxError("type");
+        }
         break;
-      case TokenKind::KwLong:
-        advance();
-        type += "long";
-        if (accept(TokenKind::KwLong))
-            type += " long";
-        accept(TokenKind::KwInt);
-        break;
-      case TokenKind::KwVector: {
-        advance();
-        expect(TokenKind::Less, "vector type");
-        std::string inner = parseType();
-        expectTemplateClose();
-        type += "vector<" + inner + ">";
-        break;
-      }
-      default:
-        syntaxError("type");
     }
     if (accept(TokenKind::Amp))
         type += "&";
-    return type;
+    for (; open_vectors > 0; --open_vectors) {
+        expectTemplateClose();
+        type += ">";
+        if (accept(TokenKind::Amp))
+            type += "&";
+    }
+    return intern(std::move(type));
 }
 
-Ast
+void
 Parser::parseTranslationUnit()
 {
-    Ast ast(NodeKind::Root);
     while (!check(TokenKind::Eof)) {
         if (check(TokenKind::KwUsing)) {
             advance();
@@ -264,85 +429,56 @@ Parser::parseTranslationUnit()
         }
         if (accept(TokenKind::Semi))
             continue;
-        parseTopLevel(ast);
-    }
-    return ast;
-}
-
-namespace
-{
-
-bool
-isTypeStartTok(TokenKind k)
-{
-    switch (k) {
-      case TokenKind::KwInt:
-      case TokenKind::KwLong:
-      case TokenKind::KwDouble:
-      case TokenKind::KwChar:
-      case TokenKind::KwBool:
-      case TokenKind::KwVoid:
-      case TokenKind::KwString:
-      case TokenKind::KwVector:
-      case TokenKind::KwConst:
-      case TokenKind::KwAuto:
-        return true;
-      default:
-        return false;
+        parseTopLevel();
     }
 }
-
-} // namespace
 
 void
-Parser::parseTopLevel(Ast& ast)
+Parser::parseTopLevel()
 {
-    std::string type = parseType();
-    std::string name =
+    std::string_view type = parseType();
+    std::string_view name =
         expect(TokenKind::Identifier, "top-level declaration").text;
     // "name(" opens a function definition only when followed by a
     // parameter type or an empty list; otherwise it is a
     // constructor-style global initialiser like vector<int> v(n).
     if (check(TokenKind::LParen) &&
-        (isTypeStartTok(peek(1).kind) ||
-         peek(1).kind == TokenKind::RParen)) {
-        parseFunctionRest(ast, type, name);
+        (isTypeStart(peek(1).kind) || peek(1).kind == TokenKind::RParen)) {
+        int before = static_cast<int>(nodes_.size());
+        parseFunctionRest(type, name);
+        functionNodes_ += static_cast<int>(nodes_.size()) - before;
         return;
     }
     // Global variable declaration(s).
-    int decl = ast.addNode(NodeKind::DeclStmt, ast.root(), type);
-    parseDeclaratorRestNamed(ast, decl, type, name);
-    while (accept(TokenKind::Comma)) {
-        std::string next =
-            expect(TokenKind::Identifier, "declarator").text;
-        parseDeclaratorRestNamed(ast, decl, type, next);
-    }
+    int decl = addNode(NodeKind::DeclStmt, 0, type);
+    parseDeclaratorRest(decl, name);
+    while (accept(TokenKind::Comma))
+        parseDeclaratorRest(
+            decl, expect(TokenKind::Identifier, "declarator").text);
     expect(TokenKind::Semi, "global declaration");
 }
 
 void
-Parser::parseFunctionRest(Ast& ast, const std::string& type,
-                          const std::string& name)
+Parser::parseFunctionRest(std::string_view type, std::string_view name)
 {
-    int fn = ast.addNode(NodeKind::FunctionDef, ast.root(), name);
-    ast.node(fn).text = name;
-    int params = ast.addNode(NodeKind::ParamList, fn, type);
+    int fn = addNode(NodeKind::FunctionDef, 0, name);
+    int params = addNode(NodeKind::ParamList, fn, type);
     expect(TokenKind::LParen, "function parameters");
     if (!check(TokenKind::RParen)) {
         do {
-            std::string ptype = parseType();
-            std::string pname;
+            std::string text(parseType());
+            text += '|';
             if (check(TokenKind::Identifier))
-                pname = advance().text;
+                text += advance().text;
             // Param text carries "type|name" so the judge can model
             // pass-by-value copies; models only read the node kind.
-            int p = ast.addNode(NodeKind::Param, params,
-                                ptype + "|" + pname);
+            int p = addNode(NodeKind::Param, params,
+                            intern(std::move(text)));
             // Array-typed parameter: int a[] or int a[10].
             while (accept(TokenKind::LBracket)) {
-                int ext = ast.addNode(NodeKind::ArrayExtent, p);
+                int ext = addNode(NodeKind::ArrayExtent, p);
                 if (!check(TokenKind::RBracket))
-                    parseExpression(ast, ext);
+                    parseExpression(ext);
                 expect(TokenKind::RBracket, "array parameter");
             }
         } while (accept(TokenKind::Comma));
@@ -350,235 +486,221 @@ Parser::parseFunctionRest(Ast& ast, const std::string& type,
     expect(TokenKind::RParen, "function parameters");
     if (accept(TokenKind::Semi))
         return; // prototype: FunctionDef without a body
-    parseBlock(ast, fn);
+    parseBlock(fn);
 }
 
 int
-Parser::parseBlock(Ast& ast, int parent)
+Parser::parseBlock(int parent)
 {
     expect(TokenKind::LBrace, "block");
-    int block = ast.addNode(NodeKind::CompoundStmt, parent);
+    int block = addNode(NodeKind::CompoundStmt, parent);
     while (!check(TokenKind::RBrace) && !check(TokenKind::Eof))
-        parseStatement(ast, block);
+        parseStatement(block);
     expect(TokenKind::RBrace, "block");
     return block;
 }
 
 int
-Parser::parseStatement(Ast& ast, int parent)
+Parser::parseStatement(int parent)
 {
     Nesting level(*this);
     switch (peek().kind) {
       case TokenKind::LBrace:
-        return parseBlock(ast, parent);
+        return parseBlock(parent);
       case TokenKind::Semi:
         advance();
-        return ast.addNode(NodeKind::EmptyStmt, parent);
+        return addNode(NodeKind::EmptyStmt, parent);
       case TokenKind::KwIf: {
         advance();
-        int stmt = ast.addNode(NodeKind::IfStmt, parent);
+        int stmt = addNode(NodeKind::IfStmt, parent);
         expect(TokenKind::LParen, "if condition");
-        parseExpression(ast, stmt);
+        parseExpression(stmt);
         expect(TokenKind::RParen, "if condition");
-        parseStatement(ast, stmt);
+        parseStatement(stmt);
         if (accept(TokenKind::KwElse))
-            parseStatement(ast, stmt);
+            parseStatement(stmt);
         return stmt;
       }
       case TokenKind::KwFor: {
         advance();
-        int stmt = ast.addNode(NodeKind::ForStmt, parent);
+        int stmt = addNode(NodeKind::ForStmt, parent);
         expect(TokenKind::LParen, "for header");
         // init
         if (check(TokenKind::Semi)) {
             advance();
-            ast.addNode(NodeKind::EmptyStmt, stmt);
-        } else if (atTypeStart()) {
-            parseDeclStmt(ast, stmt);
+            addNode(NodeKind::EmptyStmt, stmt);
+        } else if (isTypeStart(peek().kind)) {
+            parseDeclStmt(stmt);
         } else {
-            int es = ast.addNode(NodeKind::ExprStmt, stmt);
-            parseExpression(ast, es);
+            int es = addNode(NodeKind::ExprStmt, stmt);
+            parseExpression(es);
             expect(TokenKind::Semi, "for init");
         }
         // condition
         if (check(TokenKind::Semi))
-            ast.addNode(NodeKind::EmptyStmt, stmt);
+            addNode(NodeKind::EmptyStmt, stmt);
         else
-            parseExpression(ast, stmt);
+            parseExpression(stmt);
         expect(TokenKind::Semi, "for condition");
         // increment
         if (check(TokenKind::RParen))
-            ast.addNode(NodeKind::EmptyStmt, stmt);
+            addNode(NodeKind::EmptyStmt, stmt);
         else
-            parseExpression(ast, stmt);
+            parseExpression(stmt);
         expect(TokenKind::RParen, "for header");
-        parseStatement(ast, stmt);
+        parseStatement(stmt);
         return stmt;
       }
       case TokenKind::KwWhile: {
         advance();
-        int stmt = ast.addNode(NodeKind::WhileStmt, parent);
+        int stmt = addNode(NodeKind::WhileStmt, parent);
         expect(TokenKind::LParen, "while condition");
-        parseExpression(ast, stmt);
+        parseExpression(stmt);
         expect(TokenKind::RParen, "while condition");
-        parseStatement(ast, stmt);
+        parseStatement(stmt);
         return stmt;
       }
       case TokenKind::KwDo: {
         advance();
-        int stmt = ast.addNode(NodeKind::DoWhileStmt, parent);
-        parseStatement(ast, stmt);
+        int stmt = addNode(NodeKind::DoWhileStmt, parent);
+        parseStatement(stmt);
         expect(TokenKind::KwWhile, "do-while");
         expect(TokenKind::LParen, "do-while condition");
-        parseExpression(ast, stmt);
+        parseExpression(stmt);
         expect(TokenKind::RParen, "do-while condition");
         expect(TokenKind::Semi, "do-while");
         return stmt;
       }
       case TokenKind::KwReturn: {
         advance();
-        int stmt = ast.addNode(NodeKind::ReturnStmt, parent);
+        int stmt = addNode(NodeKind::ReturnStmt, parent);
         if (!check(TokenKind::Semi))
-            parseExpression(ast, stmt);
+            parseExpression(stmt);
         expect(TokenKind::Semi, "return statement");
         return stmt;
       }
       case TokenKind::KwBreak: {
         advance();
         expect(TokenKind::Semi, "break statement");
-        return ast.addNode(NodeKind::BreakStmt, parent);
+        return addNode(NodeKind::BreakStmt, parent);
       }
       case TokenKind::KwContinue: {
         advance();
         expect(TokenKind::Semi, "continue statement");
-        return ast.addNode(NodeKind::ContinueStmt, parent);
+        return addNode(NodeKind::ContinueStmt, parent);
       }
       default:
-        if (atTypeStart())
-            return parseDeclStmt(ast, parent);
-        int stmt = ast.addNode(NodeKind::ExprStmt, parent);
-        parseExpression(ast, stmt);
+        if (isTypeStart(peek().kind))
+            return parseDeclStmt(parent);
+        int stmt = addNode(NodeKind::ExprStmt, parent);
+        parseExpression(stmt);
         expect(TokenKind::Semi, "expression statement");
         return stmt;
     }
 }
 
 int
-Parser::parseDeclStmt(Ast& ast, int parent)
+Parser::parseDeclStmt(int parent)
 {
-    std::string type = parseType();
-    int decl = ast.addNode(NodeKind::DeclStmt, parent, type);
+    int decl = addNode(NodeKind::DeclStmt, parent, parseType());
     do {
-        std::string name =
-            expect(TokenKind::Identifier, "declarator").text;
-        parseDeclaratorRestNamed(ast, decl, type, name);
+        parseDeclaratorRest(
+            decl, expect(TokenKind::Identifier, "declarator").text);
     } while (accept(TokenKind::Comma));
     expect(TokenKind::Semi, "declaration");
     return decl;
 }
 
 void
-Parser::parseDeclaratorRestNamed(Ast& ast, int decl_stmt,
-                                 const std::string& type,
-                                 const std::string& name)
+Parser::parseDeclaratorRest(int decl_stmt, std::string_view name)
 {
-    int var = ast.addNode(NodeKind::VarDecl, decl_stmt, name);
-    (void)type;
+    int var = addNode(NodeKind::VarDecl, decl_stmt, name);
     // Array extents, wrapped so consumers can tell dims from inits.
     while (accept(TokenKind::LBracket)) {
-        int ext = ast.addNode(NodeKind::ArrayExtent, var);
+        int ext = addNode(NodeKind::ArrayExtent, var);
         if (!check(TokenKind::RBracket))
-            parseExpression(ast, ext);
+            parseExpression(ext);
         expect(TokenKind::RBracket, "array declarator");
     }
     if (accept(TokenKind::Assign)) {
-        if (check(TokenKind::LBrace)) {
-            advance();
-            int init = ast.addNode(NodeKind::InitList, var);
-            if (!check(TokenKind::RBrace)) {
-                do {
-                    parseAssignment(ast, init);
-                } while (accept(TokenKind::Comma));
-            }
-            expect(TokenKind::RBrace, "initializer list");
-        } else {
-            parseAssignment(ast, var);
-        }
+        if (accept(TokenKind::LBrace))
+            parseInitList(var, TokenKind::RBrace, "initializer list");
+        else
+            parseAssignment(var);
     } else if (accept(TokenKind::LParen)) {
         // Constructor-style init: vector<int> v(n, 0).
-        int init = ast.addNode(NodeKind::InitList, var);
-        if (!check(TokenKind::RParen)) {
-            do {
-                parseAssignment(ast, init);
-            } while (accept(TokenKind::Comma));
-        }
-        expect(TokenKind::RParen, "constructor initializer");
-    } else if (check(TokenKind::LBrace)) {
-        advance();
-        int init = ast.addNode(NodeKind::InitList, var);
-        if (!check(TokenKind::RBrace)) {
-            do {
-                parseAssignment(ast, init);
-            } while (accept(TokenKind::Comma));
-        }
-        expect(TokenKind::RBrace, "initializer list");
+        parseInitList(var, TokenKind::RParen, "constructor initializer");
+    } else if (accept(TokenKind::LBrace)) {
+        parseInitList(var, TokenKind::RBrace, "initializer list");
     }
 }
 
-int
-Parser::parseExpression(Ast& ast, int parent)
+void
+Parser::parseInitList(int var, TokenKind close, const char* context)
 {
-    return parseAssignment(ast, parent);
+    int init = addNode(NodeKind::InitList, var);
+    if (!check(close)) {
+        do {
+            parseAssignment(init);
+        } while (accept(TokenKind::Comma));
+    }
+    expect(close, context);
 }
 
 int
-Parser::parseAssignment(Ast& ast, int parent)
+Parser::parseExpression(int parent)
+{
+    return parseAssignment(parent);
+}
+
+int
+Parser::parseAssignment(int parent)
 {
     // Every nested expression (parentheses, arguments, subscripts,
     // ternary arms, assignment right-hand sides) passes through here.
     Nesting level(*this);
-    int lhs = parseTernary(ast, parent);
+    int lhs = parseTernary(parent);
     if (isAssignToken(peek().kind)) {
         NodeKind op = assignOpFor(advance().kind);
-        int node = wrapNode(ast, lhs, op);
-        parseAssignment(ast, node);
+        int node = wrapNode(lhs, op);
+        parseAssignment(node);
         return node;
     }
     return lhs;
 }
 
 int
-Parser::parseTernary(Ast& ast, int parent)
+Parser::parseTernary(int parent)
 {
-    int cond = parseBinary(ast, parent, 1);
+    int cond = parseBinary(parent, 1);
     if (accept(TokenKind::Question)) {
-        int node = wrapNode(ast, cond, NodeKind::CondExpr);
-        parseAssignment(ast, node);
+        int node = wrapNode(cond, NodeKind::CondExpr);
+        parseAssignment(node);
         expect(TokenKind::Colon, "conditional expression");
-        parseAssignment(ast, node);
+        parseAssignment(node);
         return node;
     }
     return cond;
 }
 
 int
-Parser::parseBinary(Ast& ast, int parent, int min_prec)
+Parser::parseBinary(int parent, int min_prec)
 {
-    int lhs = parseUnary(ast, parent);
+    int lhs = parseUnary(parent);
     while (true) {
         BinOp op = binOpFor(peek().kind);
         if (op.prec < min_prec)
             break;
         advance();
-        int node = wrapNode(ast, lhs, op.kind);
-        parseBinary(ast, node, op.prec + 1);
+        int node = wrapNode(lhs, op.kind);
+        parseBinary(node, op.prec + 1);
         lhs = node;
     }
     return lhs;
 }
 
 int
-Parser::parseUnary(Ast& ast, int parent)
+Parser::parseUnary(int parent)
 {
     // Unary plus leaves no node (Root = "none", as in binOpFor).
     NodeKind op = NodeKind::Root;
@@ -588,50 +710,45 @@ Parser::parseUnary(Ast& ast, int parent)
       case TokenKind::PlusPlus: op = NodeKind::PreInc; break;
       case TokenKind::MinusMinus: op = NodeKind::PreDec; break;
       case TokenKind::Plus: break;
-      default: return parsePostfix(ast, parent);
+      default: return parsePostfix(parent);
     }
     // The operand nests one level below its operator.
     Nesting level(*this);
     advance();
     if (op == NodeKind::Root)
-        return parseUnary(ast, parent);
-    int node = ast.addNode(op, parent);
-    parseUnary(ast, node);
+        return parseUnary(parent);
+    int node = addNode(op, parent);
+    parseUnary(node);
     return node;
 }
 
 int
-Parser::parsePostfix(Ast& ast, int parent)
+Parser::parsePostfix(int parent)
 {
-    int expr = parsePrimary(ast, parent);
+    int expr = parsePrimary(parent);
     while (true) {
-        if (check(TokenKind::LParen)) {
-            advance();
-            int call = wrapNode(ast, expr, NodeKind::CallExpr);
+        if (accept(TokenKind::LParen)) {
+            int call = wrapNode(expr, NodeKind::CallExpr);
             if (!check(TokenKind::RParen)) {
                 do {
-                    parseAssignment(ast, call);
+                    parseAssignment(call);
                 } while (accept(TokenKind::Comma));
             }
             expect(TokenKind::RParen, "call arguments");
             expr = call;
-        } else if (check(TokenKind::LBracket)) {
-            advance();
-            int sub = wrapNode(ast, expr, NodeKind::SubscriptExpr);
-            parseExpression(ast, sub);
+        } else if (accept(TokenKind::LBracket)) {
+            int sub = wrapNode(expr, NodeKind::SubscriptExpr);
+            parseExpression(sub);
             expect(TokenKind::RBracket, "subscript");
             expr = sub;
-        } else if (check(TokenKind::Dot)) {
-            advance();
-            std::string member =
+        } else if (accept(TokenKind::Dot)) {
+            std::string_view member =
                 expect(TokenKind::Identifier, "member access").text;
-            expr = wrapNode(ast, expr, NodeKind::MemberExpr, member);
-        } else if (check(TokenKind::PlusPlus)) {
-            advance();
-            expr = wrapNode(ast, expr, NodeKind::PostInc);
-        } else if (check(TokenKind::MinusMinus)) {
-            advance();
-            expr = wrapNode(ast, expr, NodeKind::PostDec);
+            expr = wrapNode(expr, NodeKind::MemberExpr, member);
+        } else if (accept(TokenKind::PlusPlus)) {
+            expr = wrapNode(expr, NodeKind::PostInc);
+        } else if (accept(TokenKind::MinusMinus)) {
+            expr = wrapNode(expr, NodeKind::PostDec);
         } else {
             break;
         }
@@ -640,52 +757,107 @@ Parser::parsePostfix(Ast& ast, int parent)
 }
 
 int
-Parser::parsePrimary(Ast& ast, int parent)
+Parser::parsePrimary(int parent)
 {
+    NodeKind kind;
     switch (peek().kind) {
-      case TokenKind::IntLit:
-        return ast.addNode(NodeKind::IntLiteral, parent,
-                           advance().text);
-      case TokenKind::DoubleLit:
-        return ast.addNode(NodeKind::DoubleLiteral, parent,
-                           advance().text);
-      case TokenKind::CharLit:
-        return ast.addNode(NodeKind::CharLiteral, parent,
-                           advance().text);
-      case TokenKind::StringLit:
-        return ast.addNode(NodeKind::StringLiteral, parent,
-                           advance().text);
+      case TokenKind::IntLit: kind = NodeKind::IntLiteral; break;
+      case TokenKind::DoubleLit: kind = NodeKind::DoubleLiteral; break;
       case TokenKind::KwTrue:
-        advance();
-        return ast.addNode(NodeKind::BoolLiteral, parent, "true");
-      case TokenKind::KwFalse:
-        advance();
-        return ast.addNode(NodeKind::BoolLiteral, parent, "false");
-      case TokenKind::Identifier:
-        return ast.addNode(NodeKind::VarRef, parent, advance().text);
+      case TokenKind::KwFalse: kind = NodeKind::BoolLiteral; break;
+      case TokenKind::Identifier: kind = NodeKind::VarRef; break;
+      case TokenKind::CharLit:
+      case TokenKind::StringLit: {
+        kind = peek().kind == TokenKind::CharLit
+            ? NodeKind::CharLiteral : NodeKind::StringLiteral;
+        const Token& lit = advance();
+        return addNode(kind, parent,
+                       lit.text.find('\\') == std::string_view::npos
+                           ? lit.text
+                           : intern(tokenSpelling(lit)));
+      }
       case TokenKind::LParen: {
         advance();
-        int expr = parseExpression(ast, parent);
+        int expr = parseExpression(parent);
         expect(TokenKind::RParen, "parenthesised expression");
         return expr;
       }
       default:
         syntaxError("expression");
     }
+    return addNode(kind, parent, advance().text);
 }
 
 Ast
-parseSource(const std::string& source)
+Parser::emitFull() const
 {
-    Lexer lexer(source);
-    Parser parser(lexer.tokenize());
-    return parser.parseTranslationUnit();
+    std::vector<AstNode> out(nodes_.size());
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+        const Node& n = nodes_[i];
+        AstNode& o = out[i];
+        o.kind = n.kind;
+        o.parent = n.parent;
+        o.text = std::string(n.text);
+        std::size_t children = 0;
+        for (int c = n.firstChild; c >= 0; c = nodes_[c].nextSibling)
+            ++children;
+        o.children.reserve(children);
+        for (int c = n.firstChild; c >= 0; c = nodes_[c].nextSibling)
+            o.children.push_back(c);
+    }
+    return Ast(std::move(out));
 }
 
 Ast
-parseAndPrune(const std::string& source)
+Parser::emitFunctions() const
 {
-    return pruneToFunctions(parseSource(source));
+    Ast ast(NodeKind::Root);
+    ast.reserve(functionNodes_ + 1);
+    // (buffer id, parent id in the pruned tree); children are pushed
+    // last-first so they pop, and are numbered, in source order.
+    std::vector<std::pair<int, int>> stack;
+    for (int fn = nodes_[0].firstChild; fn >= 0;
+         fn = nodes_[fn].nextSibling) {
+        if (nodes_[fn].kind != NodeKind::FunctionDef)
+            continue;
+        stack.emplace_back(fn, ast.root());
+        while (!stack.empty()) {
+            auto [id, parent] = stack.back();
+            stack.pop_back();
+            const Node& n = nodes_[id];
+            int out = ast.addNode(n.kind, parent, std::string(n.text));
+            std::size_t children = 0;
+            for (int c = n.lastChild; c >= 0; c = nodes_[c].prevSibling) {
+                stack.emplace_back(c, out);
+                ++children;
+            }
+            // One allocation per parent, not one per doubling.
+            ast.node(out).children.reserve(children);
+        }
+    }
+    // The message keeps its wording from when pruning was a separate
+    // pass; Engine::parseSource hands it out as the Status text.
+    if (ast.size() == 1)
+        fatal("pruneToFunctions: no function definitions in input");
+    return ast;
+}
+
+} // namespace
+
+Ast
+parseSource(std::string_view source)
+{
+    Parser parser(source);
+    parser.parseTranslationUnit();
+    return parser.emitFull();
+}
+
+Ast
+parseAndPrune(std::string_view source)
+{
+    Parser parser(source);
+    parser.parseTranslationUnit();
+    return parser.emitFunctions();
 }
 
 } // namespace ccsa

@@ -6,80 +6,42 @@
  * functions, scalar/array/vector declarations, the full statement set,
  * and C-style expressions with standard precedence, including iostream
  * style I/O via the shift operators.
+ *
+ * Both entry points lex into tokens that view the source, parse into
+ * one flat per-parse node buffer (operators are re-hung over their
+ * first operand in O(1)), and only then build the Ast. Nesting of
+ * statements, expressions and unary operands is bounded, so hostile
+ * input fails with a FatalError instead of overflowing the stack.
  */
 
 #ifndef CCSA_FRONTEND_PARSER_HH
 #define CCSA_FRONTEND_PARSER_HH
 
-#include <vector>
+#include <string_view>
 
 #include "ast/ast.hh"
-#include "frontend/token.hh"
 
 namespace ccsa
 {
 
-/** Parse MiniCxx source text into a full translation-unit Ast. */
-class Parser
-{
-  public:
-    /** @param tokens lexer output (must end with Eof). */
-    explicit Parser(std::vector<Token> tokens);
+/**
+ * Lex and parse a translation unit.
+ * @return the full AST rooted at a Root node whose children are
+ * function definitions and global declarations; node ids follow the
+ * order the parser creates nodes in (an operator after its first
+ * operand).
+ * @throws FatalError with line/col info on lexical or syntax errors.
+ */
+Ast parseSource(std::string_view source);
 
-    /**
-     * Parse a translation unit.
-     * @return the AST rooted at a Root node whose children are
-     * function definitions and global declarations.
-     * @throws FatalError with line/col info on syntax errors.
-     */
-    Ast parseTranslationUnit();
-
-  private:
-    const Token& peek(int ahead = 0) const;
-    const Token& advance();
-    bool check(TokenKind kind) const;
-    bool accept(TokenKind kind);
-    const Token& expect(TokenKind kind, const char* context);
-    [[noreturn]] void syntaxError(const char* context) const;
-
-    /** Consume a '>' that may be the first half of a '>>' token. */
-    void expectTemplateClose();
-
-    bool atTypeStart() const;
-    std::string parseType();
-
-    void parseTopLevel(Ast& ast);
-    void parseFunctionRest(Ast& ast, const std::string& type,
-                           const std::string& name);
-    int parseBlock(Ast& ast, int parent);
-    int parseStatement(Ast& ast, int parent);
-    int parseDeclStmt(Ast& ast, int parent);
-    void parseDeclaratorRestNamed(Ast& ast, int decl_stmt,
-                                  const std::string& type,
-                                  const std::string& name);
-
-    int parseExpression(Ast& ast, int parent);
-    int parseAssignment(Ast& ast, int parent);
-    int parseTernary(Ast& ast, int parent);
-    int parseBinary(Ast& ast, int parent, int min_prec);
-    int parseUnary(Ast& ast, int parent);
-    int parsePostfix(Ast& ast, int parent);
-    int parsePrimary(Ast& ast, int parent);
-
-    /** Holds one nesting level while a statement, expression or
-     * unary operand is being parsed; see kMaxNestingDepth. */
-    class Nesting;
-
-    std::vector<Token> tokens_;
-    std::size_t pos_ = 0;
-    int depth_ = 0;
-};
-
-/** Convenience: lex + parse in one call. */
-Ast parseSource(const std::string& source);
-
-/** Convenience: lex + parse + prune to function definitions (§IV-A). */
-Ast parseAndPrune(const std::string& source);
+/**
+ * Lex, parse and prune to function definitions (§IV-A): only the
+ * function-definition subtrees, re-hung under a fresh root and
+ * numbered in preorder. The full tree is never built.
+ * @throws FatalError on the errors parseSource reports, or when the
+ * input defines no function.
+ */
+Ast parseAndPrune(std::string_view source);
 
 } // namespace ccsa
 

@@ -6,7 +6,7 @@
 #ifndef CCSA_FRONTEND_TOKEN_HH
 #define CCSA_FRONTEND_TOKEN_HH
 
-#include <string>
+#include <string_view>
 
 namespace ccsa
 {
@@ -45,11 +45,16 @@ enum class TokenKind
 /** @return printable token-kind name for diagnostics. */
 const char* tokenKindName(TokenKind k);
 
-/** One lexed token with its source position. */
+/**
+ * One lexed token with its source position. The text views the
+ * lexed source, which must outlive the token. Number literals span
+ * their digits without the integer suffix; string and char literals
+ * span the raw characters between the quotes, escapes unresolved.
+ */
 struct Token
 {
     TokenKind kind = TokenKind::Eof;
-    std::string text;
+    std::string_view text;
     int line = 0;
     int col = 0;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "serve/metrics/slo_tracker.hh"
@@ -565,10 +566,7 @@ FrontEnd::finish(std::size_t shard, ServeBatch& batch,
         ServeSlice& r = batch.requests[i];
         std::size_t us = latencySampleUs(completedAt - r.enqueued);
         if (metrics_.enabled())
-            serverLatencyHistogram(*opts_.metrics, backend_->label,
-                                   r.version->name, r.tenant,
-                                   r.priority, opts_.metricsWindow)
-                .add(us, completedAt);
+            latencyInstrument(counters, r).add(us, completedAt);
         if (opts_.slo != nullptr)
             opts_.slo->record(r.version->name, r.tenant, us,
                               completedAt);
@@ -586,6 +584,25 @@ FrontEnd::finish(std::size_t shard, ServeBatch& batch,
             r.complete(probs.status());
         }
     }
+}
+
+WindowedHistogram&
+FrontEnd::latencyInstrument(ShardCounters& counters,
+                            const ServeSlice& slice)
+{
+    const std::string& model = slice.version->name;
+    auto& cache = counters.latencyInstruments;
+    auto it = cache.find(std::make_tuple(std::string_view(model),
+                                         std::string_view(slice.tenant),
+                                         slice.priority));
+    if (it != cache.end())
+        return *it->second;
+    WindowedHistogram& instrument = serverLatencyHistogram(
+        *opts_.metrics, backend_->label, model, slice.tenant,
+        slice.priority, opts_.metricsWindow);
+    cache.emplace(std::make_tuple(model, slice.tenant, slice.priority),
+                  &instrument);
+    return instrument;
 }
 
 void

@@ -51,11 +51,13 @@
 #include <cstdint>
 #include <functional>
 #include <future>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -411,6 +413,13 @@ class FrontEnd
         Histogram latencyUs;
         /** Per-tenant latency of the slices this shard served. */
         std::unordered_map<std::string, Histogram> tenantLatencyUs;
+        /** The registry's latency instrument per (model, tenant,
+         * priority), looked up once: registry instruments are stable
+         * references. Only the shard's own thread touches it, so it
+         * needs no lock. */
+        std::map<std::tuple<std::string, std::string, Priority>,
+                 WindowedHistogram*, std::less<>>
+            latencyInstruments;
     };
 
     /** Submit-side per-tenant counters (latency lives per shard). */
@@ -450,6 +459,10 @@ class FrontEnd
     /** Record a served batch and fan its answer out. */
     void finish(std::size_t shard, ServeBatch& batch,
                 const ModelBatches& grouped, const BatchAnswer& answer);
+    /** The registry latency instrument of `slice`'s (model, tenant,
+     * priority), resolved through `counters`' cache. */
+    WindowedHistogram& latencyInstrument(ShardCounters& counters,
+                                         const ServeSlice& slice);
     /** Emit one slice's five-span chain (no-op when untraced). */
     void recordTrace(const ServeSlice& slice,
                      const Engine::PhaseTiming& timing,

@@ -1,13 +1,15 @@
 /**
  * @file
- * Tests for the AST arena, traversals, pruning, and node-kind
- * metadata.
+ * Tests for the AST arena, traversals, pruning (the reference
+ * pruneToFunctions the parser's direct emission is checked against),
+ * and node-kind metadata.
  */
 
 #include <gtest/gtest.h>
 
 #include "ast/ast.hh"
 #include "base/logging.hh"
+#include "oracle_frontend.hh"
 
 namespace ccsa
 {
@@ -114,7 +116,7 @@ TEST(Prune, KeepsOnlyFunctionSubtrees)
     int f2 = full.addNode(NodeKind::FunctionDef, 0, "helper");
     full.addNode(NodeKind::CompoundStmt, f2);
 
-    Ast pruned = pruneToFunctions(full);
+    Ast pruned = oracle::pruneToFunctions(full);
     EXPECT_EQ(pruned.countKind(NodeKind::DeclStmt), 0);
     EXPECT_EQ(pruned.countKind(NodeKind::FunctionDef), 2);
     // Functions hang directly off the root (§IV-A).
@@ -123,11 +125,70 @@ TEST(Prune, KeepsOnlyFunctionSubtrees)
     EXPECT_EQ(pruned.countKind(NodeKind::ReturnStmt), 1);
 }
 
+TEST(Ast, DeepChainWalksWithoutRecursion)
+{
+    // addNode puts no bound on depth; a 100k-deep chain would
+    // overflow a recursive s-expression or pruning walk.
+    constexpr int kDepth = 100000;
+    Ast full(NodeKind::Root);
+    full.addNode(NodeKind::DeclStmt, 0, "int");
+    int parent = full.addNode(NodeKind::FunctionDef, 0, "deep");
+    for (int i = 0; i < kDepth; ++i)
+        parent = full.addNode(NodeKind::CompoundStmt, parent);
+
+    std::string sexpr = full.toSExpression();
+    EXPECT_EQ(sexpr.size(),
+              std::string("(Root (DeclStmt:int) (FunctionDef:deep))")
+                      .size() +
+                  kDepth * std::string(" (CompoundStmt)").size());
+    EXPECT_EQ(sexpr.rfind("(Root (DeclStmt:int) (FunctionDef:deep "
+                          "(CompoundStmt (CompoundStmt",
+                          0),
+              0u);
+
+    // Pruning drops the global and keeps the chain node for node.
+    Ast pruned = oracle::pruneToFunctions(full);
+    ASSERT_EQ(pruned.size(), kDepth + 2);
+    EXPECT_EQ(pruned.depth(), kDepth + 2);
+    EXPECT_EQ(pruned.node(1).text, "deep");
+    for (int id = 2; id < pruned.size(); ++id) {
+        ASSERT_EQ(pruned.node(id).parent, id - 1);
+        ASSERT_EQ(pruned.node(id).kind, NodeKind::CompoundStmt);
+    }
+}
+
+TEST(Ast, AdoptedNodesMustFormOneTree)
+{
+    // Parent after child, as the parser numbers an operator after
+    // its first operand.
+    std::vector<AstNode> nodes(3);
+    nodes[0].children = {2};
+    nodes[1].kind = NodeKind::IntLiteral;
+    nodes[1].parent = 2;
+    nodes[2].kind = NodeKind::Negate;
+    nodes[2].parent = 0;
+    nodes[2].children = {1};
+    Ast ast(nodes);
+    EXPECT_EQ(ast.toSExpression(), "(Root (Negate (IntLiteral)))");
+
+    std::vector<AstNode> cycle = nodes;
+    cycle[0].children.clear();
+    cycle[2].parent = 1;
+    cycle[1].children = {2};
+    EXPECT_THROW(Ast{cycle}, PanicError);
+    std::vector<AstNode> twice = nodes;
+    twice[2].children = {1, 1};
+    EXPECT_THROW(Ast{twice}, PanicError);
+    std::vector<AstNode> badParent = nodes;
+    badParent[1].parent = 0;
+    EXPECT_THROW(Ast{badParent}, PanicError);
+}
+
 TEST(Prune, NoFunctionsFatal)
 {
     Ast full(NodeKind::Root);
     full.addNode(NodeKind::DeclStmt, 0);
-    EXPECT_THROW(pruneToFunctions(full), FatalError);
+    EXPECT_THROW(oracle::pruneToFunctions(full), FatalError);
 }
 
 } // namespace

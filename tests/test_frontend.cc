@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 
 #include "base/logging.hh"
 #include "frontend/lexer.hh"
@@ -19,8 +20,10 @@ namespace ccsa
 namespace
 {
 
+/** Tokens view their source: every caller passes a literal, whose
+ * storage outlives the tokens. */
 std::vector<Token>
-lex(const std::string& src)
+lex(std::string_view src)
 {
     return Lexer(src).tokenize();
 }
@@ -361,6 +364,27 @@ TEST(Parser, NestingJustUnderTheBoundParses)
     ASSERT_TRUE(unary.isOk()) << unary.status().toString();
     EXPECT_EQ(unary.value().countKind(NodeKind::Negate), 499);
     EXPECT_FALSE(Engine::parseSource(unaryChain(999)).isOk());
+}
+
+TEST(Parser, DeepVectorTypesParseWithoutRecursion)
+{
+    // Types nest through a loop, not the nesting bound: 100k
+    // vector< levels parse, and the text spells every level.
+    constexpr int kDepth = 100000;
+    std::string type;
+    for (int i = 0; i < kDepth; ++i)
+        type += "vector<";
+    type += "int";
+    for (int i = 0; i < kDepth / 2; ++i)
+        type += ">>";
+    Result<Ast> parsed =
+        Engine::parseSource("int main() { " + type + " x; }");
+    ASSERT_TRUE(parsed.isOk()) << parsed.status().toString();
+    const Ast& ast = parsed.value();
+    auto decls = ast.nodesOfKind(NodeKind::DeclStmt);
+    ASSERT_EQ(decls.size(), 1u);
+    EXPECT_EQ(ast.node(decls[0]).text.size(),
+              static_cast<std::size_t>(kDepth) * 8 + 3);
 }
 
 TEST(Parser, ParseAndPrunePipeline)

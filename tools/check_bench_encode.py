@@ -3,7 +3,7 @@
 
 Reads the google-benchmark JSON written by
 
-    micro_ops --benchmark_filter='BM_EncodeLevelBatchedVsPerNode|BM_EncodeNoGradVsTaped|BM_EncodeHashConsed|BM_MatmulKernel|BM_MatmulDispatch|BM_CacheHitByPrecision|BM_F16DecodeDispatch' \
+    micro_ops --benchmark_filter='BM_EncodeLevelBatchedVsPerNode|BM_EncodeNoGradVsTaped|BM_EncodeHashConsed|BM_MatmulKernel|BM_MatmulDispatch|BM_CacheHitByPrecision|BM_F16DecodeDispatch|BM_ParseAndPrune' \
               --benchmark_out=BENCH_encode.json --benchmark_out_format=json
 
 and fails (exit 1) when:
@@ -28,7 +28,10 @@ and fails (exit 1) when:
    same-family forest (only repeats inside the call are shared);
  - the F16C fp16 decode family drops below 2x the portable
    bit-twiddling oracle — skipped (with a note) when the JSON has no
-   f16c row, i.e. the runner has no F16C.
+   f16c row, i.e. the runner has no F16C;
+ - the one-pass front end (span tokens, pruned tree emitted
+   directly) drops below 2x the reference pipeline of
+   tests/oracle_frontend.hh on commit-style children.
 
 Floors are deliberately below the typically observed ratios
 (~3.8x bushy, ~3x ast, ~1.0x chain; ~2-4x avx2-fma) so CI noise does
@@ -87,6 +90,11 @@ NOGRAD_FLOORS = {
 # F16C decode vs portable bit-twiddling (observed ~19x; the bar is
 # the "fp16 hits stop being 3x slower than fp32" acceptance line).
 F16C_FLOOR = 2.0
+
+# One-pass parseAndPrune vs the reference lex + full parse +
+# pruneToFunctions copy, per commit-style child (observed ~2.9-3.1x;
+# the acceptance bar is 2x).
+PARSE_FLOOR = 2.0
 
 
 def collect(data, name, split_label=False):
@@ -198,6 +206,11 @@ def main() -> int:
         # No F16C on this runner: the hardware row was skipped, and
         # the portable row alone has nothing to gate against.
         print("f16 dispatch: no f16c row, gate skipped")
+
+    parse = collect(data, "BM_ParseAndPrune")
+    ok &= bench_gate.gate_ratio("parse one-pass",
+                                parse.get("commit/one-pass"),
+                                parse.get("commit/oracle"), PARSE_FLOOR)
 
     hits = collect(data, "BM_CacheHitByPrecision")
     fp32 = hits.get("cache-hit:fp32")
