@@ -9,6 +9,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <unordered_set>
+
+#include "codegen/generator.hh"
 #include "dataset/corpus.hh"
 #include "dataset/pairs.hh"
 #include "frontend/parser.hh"
@@ -672,6 +675,56 @@ BM_ServingBatchedVsUnbatched(benchmark::State& state)
 }
 BENCHMARK(BM_ServingBatchedVsUnbatched)
     ->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
+
+/**
+ * The all-hit tournament, the request shape of perfbench's rank_hot:
+ * an 8-candidate Engine::tournamentPairs (56 ordered pairs) through
+ * one single-thread Engine whose cache already holds every
+ * candidate. Candidates are distinct generated programs of one
+ * family, ~215 nodes each. No tree is encoded, so the row times the
+ * score head plus what the pair references cost around it: digest
+ * walks, cache lookups and latent copies. Items/s is pairs scored
+ * per second.
+ */
+void
+BM_CompareManyAllHit(benchmark::State& state)
+{
+    constexpr std::size_t kCandidates = 8;
+    auto gen = makeGenerator(ProblemFamily::C);
+    Rng rng(5, 5);
+    std::vector<Ast> trees;
+    std::unordered_set<AstDigest, AstDigestHash> seen;
+    for (int draw = 0; trees.size() < kCandidates && draw < 256; ++draw) {
+        Result<Ast> ast = Engine::parseSource(gen->generate(rng).source);
+        if (ast.isOk() && seen.insert(digestAst(ast.value())).second)
+            trees.push_back(std::move(ast.value()));
+    }
+    if (trees.size() < kCandidates) {
+        state.SkipWithError("too few distinct candidates");
+        return;
+    }
+    std::vector<const Ast*> candidates;
+    std::size_t nodes = 0;
+    for (const Ast& t : trees) {
+        candidates.push_back(&t);
+        nodes += static_cast<std::size_t>(t.size());
+    }
+
+    Engine engine(Engine::Options().withThreads(1));
+    if (!engine.encodeBatch(candidates).isOk()) {
+        state.SkipWithError("priming the cache failed");
+        return;
+    }
+    const std::vector<Engine::PairRequest> pairs =
+        Engine::tournamentPairs(candidates);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(engine.compareMany(pairs));
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(pairs.size()));
+    state.counters["nodes_per_tree"] =
+        static_cast<double>(nodes) / static_cast<double>(kCandidates);
+}
+BENCHMARK(BM_CompareManyAllHit)->Unit(benchmark::kMicrosecond);
 
 void
 BM_CorpusGeneration(benchmark::State& state)

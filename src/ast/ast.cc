@@ -95,12 +95,18 @@ Ast::kindIds() const
 int
 Ast::depth() const
 {
-    std::vector<int> d(nodes_.size(), 1);
+    // Walk down from the root: an adopted node vector may number a
+    // parent after its children, so id order says nothing about
+    // depth. A loop rather than recursion, as addNode puts no bound
+    // on depth.
     int best = 1;
-    // Nodes are appended after their parents, so a forward pass works.
-    for (int i = 1; i < size(); ++i) {
-        d[i] = d[nodes_[i].parent] + 1;
-        best = std::max(best, d[i]);
+    std::vector<std::pair<int, int>> stack{{root(), 1}};
+    while (!stack.empty()) {
+        auto [id, d] = stack.back();
+        stack.pop_back();
+        best = std::max(best, d);
+        for (int c : nodes_[id].children)
+            stack.emplace_back(c, d + 1);
     }
     return best;
 }

@@ -225,22 +225,32 @@ Engine::encodeBatch(const ModelVersion& version,
                 "encodeBatch: null tree at index " + std::to_string(i));
     }
 
-    // Deduplicate by structural digest, preserving first-appearance
-    // order so cache insertion (and therefore eviction) order is
-    // deterministic regardless of the thread count.
+    // Deduplicate by pointer, then by structural digest, preserving
+    // first-appearance order so cache insertion (and therefore
+    // eviction) order is deterministic regardless of the thread
+    // count. A pair batch names each tree many times (a tournament
+    // names every candidate 2(n-1) times), so only the first
+    // reference to a tree pays the digest walk; structurally equal
+    // copies still share one key.
     std::vector<std::size_t> slot_of(trees.size());
     std::vector<const Ast*> unique_trees;
     std::vector<EncodingKey> unique_keys;
     {
+        std::unordered_map<const Ast*, std::size_t> slotOfTree;
         std::unordered_map<AstDigest, std::size_t, AstDigestHash> seen;
         for (std::size_t i = 0; i < trees.size(); ++i) {
-            AstDigest d = digestAst(*trees[i]);
-            auto [it, inserted] = seen.emplace(d, unique_trees.size());
-            if (inserted) {
-                unique_trees.push_back(trees[i]);
-                unique_keys.push_back(EncodingKey{version.id, d});
+            auto [slot, fresh] = slotOfTree.try_emplace(trees[i], 0);
+            if (fresh) {
+                AstDigest d = digestAst(*trees[i]);
+                auto [it, inserted] =
+                    seen.try_emplace(d, unique_trees.size());
+                if (inserted) {
+                    unique_trees.push_back(trees[i]);
+                    unique_keys.push_back(EncodingKey{version.id, d});
+                }
+                slot->second = it->second;
             }
-            slot_of[i] = it->second;
+            slot_of[i] = slot->second;
         }
     }
 

@@ -134,29 +134,29 @@ FrontEnd::split(std::vector<Engine::PairRequest> pairs,
     };
     std::vector<ServeSlice> slices;
 
-    // Group pair indices by the cache partition owning each first
-    // tree. With a shared queue this only spreads a big request
-    // across shards (a single pair needs no routing); with a queue
-    // per shard it picks the process holding the slice's latents.
-    // The engine re-digests these trees for its cache lookup, but a
-    // digest is one O(nodes) walk against the O(nodes * dim^2)
-    // encode it routes, and running it here keeps routing on the
-    // producer's thread instead of the shard's critical path.
+    // Group pair indices by first tree; pairs that share one stay in
+    // one slice, so its engine call looks that tree up once. With a
+    // queue per shard, a first tree's group is the shard whose
+    // partition owns its digest: the process holding its latents.
+    // With one shared queue any shard can serve any slice, so the
+    // grouping only spreads a big request across shards (a single
+    // pair needs none): distinct first trees are dealt round-robin in
+    // first-appearance order, and the client thread walks no tree.
     std::size_t n = shards_.size();
     std::vector<std::vector<std::size_t>> groups;
     std::size_t nonEmpty = 0;
     std::size_t lastShard = 0;
     if (n > 1 && (perShard || pairs.size() > 1)) {
         groups.resize(n);
-        // Memoise by tree identity: tournament requests repeat each
-        // candidate as .first many times, and one digest walk per
-        // DISTINCT tree is enough to route them all.
-        std::unordered_map<const Ast*, std::size_t> shardOfTree;
+        std::unordered_map<const Ast*, std::size_t> groupOfTree;
         for (std::size_t i = 0; i < pairs.size(); ++i) {
-            auto [it, inserted] = shardOfTree.emplace(pairs[i].first, 0);
+            auto [it, inserted] =
+                groupOfTree.try_emplace(pairs[i].first, 0);
             if (inserted)
-                it->second = ShardedEncodingCache::shardOf(
-                    digestAst(*pairs[i].first), n);
+                it->second = perShard
+                    ? ShardedEncodingCache::shardOf(
+                          digestAst(*pairs[i].first), n)
+                    : (groupOfTree.size() - 1) % n;
             groups[it->second].push_back(i);
         }
         for (std::size_t s = 0; s < n; ++s) {

@@ -9,10 +9,13 @@
  *    model resolution: a request runs on the ModelVersion it
  *    resolved here however many slices it splits into, so a hot swap
  *    never straddles a request;
- *  - digest routing with split/join: a multi-pair request is broken
- *    into per-shard slices, grouped by the partition owning each
- *    pair's first tree (ShardedEncodingCache::shardOf), and a join
- *    fans the slices back into one result in request order.
+ *  - split/join: a multi-pair request is broken into slices, and a
+ *    join fans them back into one result in request order. Pairs
+ *    that share a first tree stay in one slice. Over one shared
+ *    queue, distinct first trees are dealt round-robin across the
+ *    shards, and no tree is digested on the submitting thread; over
+ *    a queue per shard, each pair goes to the shard whose partition
+ *    owns its first tree's digest (ShardedEncodingCache::shardOf).
  *    submitRank rides the same path: Engine::tournamentPairs splits
  *    it, Engine::aggregateTournament joins it;
  *  - disjoint outcome counters: every request is counted exactly

@@ -9,6 +9,7 @@
 
 #include "ast/ast.hh"
 #include "base/logging.hh"
+#include "frontend/parser.hh"
 #include "oracle_frontend.hh"
 
 namespace ccsa
@@ -182,6 +183,22 @@ TEST(Ast, AdoptedNodesMustFormOneTree)
     std::vector<AstNode> badParent = nodes;
     badParent[1].parent = 0;
     EXPECT_THROW(Ast{badParent}, PanicError);
+}
+
+TEST(Ast, DepthIgnoresNodeOrder)
+{
+    // The full parse numbers each call after its callee, so the four
+    // CallExprs follow their first children. Deepest path: Root,
+    // FunctionDef, CompoundStmt, ReturnStmt, four CallExprs, VarRef f.
+    Ast chained = parseSource("int main() { return f(1)(2)(3)(4); }");
+    EXPECT_EQ(chained.depth(), 9);
+
+    constexpr int kDepth = 100000;
+    Ast chain(NodeKind::Root);
+    int parent = chain.root();
+    for (int i = 0; i < kDepth; ++i)
+        parent = chain.addNode(NodeKind::CompoundStmt, parent);
+    EXPECT_EQ(chain.depth(), kDepth + 1);
 }
 
 TEST(Prune, NoFunctionsFatal)

@@ -540,6 +540,47 @@ TEST(Engine, EncodeBatchDedupsWithinOneCall)
         latents.value()[0].maxAbsDiff(latents.value()[2]), 0.0f);
 }
 
+TEST(Engine, EncodeBatchDedupsByPointerThenByDigest)
+{
+    // Repeated pointers and a structurally equal copy share one key:
+    // two distinct trees, two entries, one latent per reference.
+    Engine engine(tinyOptions());
+    Ast a = tinyProgram(2);
+    Ast b = tinyProgram(4);
+    Ast a_copy = tinyProgram(2);
+    const std::vector<const Ast*> refs{&a, &a, &b, &a_copy, &b};
+    const std::vector<std::size_t> treeOf{0, 0, 1, 0, 1};
+    auto sameBits = [](const Tensor& x, const Tensor& y) {
+        return x.rows() == y.rows() && x.cols() == y.cols() &&
+            std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) ==
+            0;
+    };
+
+    auto cold = engine.encodeBatch(refs);
+    ASSERT_TRUE(cold.isOk());
+    ASSERT_EQ(cold.value().size(), refs.size());
+    Engine::Stats afterCold = engine.stats();
+    EXPECT_EQ(afterCold.cacheSize, 2u);
+    EXPECT_EQ(afterCold.cacheMisses, 2u);
+    EXPECT_EQ(afterCold.treesEncoded, 2u);
+    for (std::size_t i = 0; i < refs.size(); ++i)
+        for (std::size_t j = 0; j < refs.size(); ++j)
+            EXPECT_EQ(sameBits(cold.value()[i], cold.value()[j]),
+                      treeOf[i] == treeOf[j])
+                << "refs " << i << ", " << j;
+
+    auto warm = engine.encodeBatch(refs);
+    ASSERT_TRUE(warm.isOk());
+    Engine::Stats afterWarm = engine.stats();
+    EXPECT_EQ(afterWarm.cacheHits, 2u);
+    EXPECT_EQ(afterWarm.cacheMisses, 2u);
+    EXPECT_EQ(afterWarm.treesEncoded, 2u);
+    EXPECT_EQ(afterWarm.cacheSize, 2u);
+    for (std::size_t i = 0; i < refs.size(); ++i)
+        EXPECT_TRUE(sameBits(warm.value()[i], cold.value()[i]))
+            << "ref " << i;
+}
+
 TEST(Engine, CacheEvictionRespectsCapacity)
 {
     Engine engine(tinyOptions().withCacheCapacity(2));

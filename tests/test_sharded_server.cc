@@ -253,6 +253,55 @@ TEST(BoundedQueue, TryPushAllAcrossIsAllOrNothing)
 
 // ------------------------------------------------- ShardedServer
 
+TEST(ShardedServer, SharedQueueKeepsEachFirstTreeInOneSlice)
+{
+    // In-process shards share one queue, so a request splits by
+    // first tree without digesting it: pairs sharing a first tree
+    // stay in one slice, and distinct first trees are dealt
+    // round-robin over the shards. queueDepth counts slices.
+    std::vector<Ast> trees;
+    for (int i = 1; i <= 8; ++i)
+        trees.push_back(tinyProgram(i));
+    std::vector<const Ast*> candidates;
+    for (const Ast& t : trees)
+        candidates.push_back(&t);
+    std::vector<Engine::PairRequest> headVsMany;
+    for (std::size_t j = 1; j < trees.size(); ++j)
+        headVsMany.push_back({&trees[0], &trees[j]});
+
+    Engine reference(tinyOptions());
+    std::vector<double> expectedMany =
+        reference.compareMany(headVsMany).value();
+    std::vector<Engine::RankedCandidate> expectedRank =
+        reference.rank(candidates).value();
+
+    ShardedServer server(tinyOptions(), ShardedServer::Options()
+                                            .withNumShards(4)
+                                            .withStartPaused(true));
+    auto many = server.submitCompareMany(headVsMany);
+    EXPECT_EQ(server.stats().aggregate.queueDepth, 1u);
+    auto ranked = server.submitRank(candidates);
+    EXPECT_EQ(server.stats().aggregate.queueDepth, 1u + 4u);
+
+    server.start();
+    auto gotMany = many.get();
+    ASSERT_TRUE(gotMany.isOk());
+    ASSERT_EQ(gotMany.value().size(), expectedMany.size());
+    for (std::size_t k = 0; k < expectedMany.size(); ++k)
+        EXPECT_EQ(gotMany.value()[k], expectedMany[k]) << "pair " << k;
+    auto gotRank = ranked.get();
+    ASSERT_TRUE(gotRank.isOk());
+    ASSERT_EQ(gotRank.value().size(), expectedRank.size());
+    for (std::size_t i = 0; i < expectedRank.size(); ++i) {
+        EXPECT_EQ(gotRank.value()[i].index, expectedRank[i].index);
+        EXPECT_EQ(gotRank.value()[i].wins, expectedRank[i].wins);
+        EXPECT_EQ(gotRank.value()[i].meanProbFaster,
+                  expectedRank[i].meanProbFaster);
+    }
+    EXPECT_EQ(server.stats().aggregate.pairsServed,
+              headVsMany.size() + 8u * 7u);
+}
+
 TEST(ShardedServer, CompareMatchesSynchronousEngineBitwise)
 {
     Engine reference(tinyOptions());
@@ -555,23 +604,12 @@ TEST(ShardedServer, DeadlineExpiresWhileQueuedAndCountsOnce)
 
 TEST(ShardedServer, TrySubmitLoadShedIsAllOrNothingAcrossShards)
 {
-    // Find two trees whose digests live on different partitions of a
-    // 4-way cache, so a pair batch over them must split into at
-    // least two queue slices.
+    // The shared queue deals distinct first trees round-robin across
+    // slices, so a pair batch over two trees, each first once, splits
+    // into two queue slices.
     std::vector<Ast> pool;
     for (int i = 1; i <= 8; ++i)
         pool.push_back(tinyProgram(i));
-    int first = 0, second = -1;
-    std::size_t shard0 =
-        ShardedEncodingCache::shardOf(digestAst(pool[0]), 4);
-    for (std::size_t i = 1; i < pool.size(); ++i) {
-        if (ShardedEncodingCache::shardOf(digestAst(pool[i]), 4) !=
-            shard0) {
-            second = static_cast<int>(i);
-            break;
-        }
-    }
-    ASSERT_GE(second, 0) << "pool unexpectedly hashed to one shard";
 
     ShardedServer server(tinyOptions(),
                          ShardedServer::Options()
@@ -580,11 +618,8 @@ TEST(ShardedServer, TrySubmitLoadShedIsAllOrNothingAcrossShards)
                              .withQueueCapacity(1));
     // Splits into two slices, but only one slot exists: the whole
     // request is shed and the queue stays empty — no stranded half.
-    std::vector<Engine::PairRequest> crossShard{
-        {&pool[static_cast<std::size_t>(first)],
-         &pool[static_cast<std::size_t>(second)]},
-        {&pool[static_cast<std::size_t>(second)],
-         &pool[static_cast<std::size_t>(first)]}};
+    std::vector<Engine::PairRequest> crossShard{{&pool[0], &pool[1]},
+                                                {&pool[1], &pool[0]}};
     auto shed = server.trySubmitCompareMany(crossShard);
     EXPECT_FALSE(shed.has_value());
     EXPECT_EQ(server.stats().aggregate.queueDepth, 0u);
@@ -631,29 +666,17 @@ TEST(ShardedServer, TrySubmitOfSplitRequestAfterShutdownResolves)
     // Regression: a cross-shard request rejected by a CLOSED queue
     // must resolve every slice, or the join never fires and the
     // caller's future dies as a broken promise instead of carrying
-    // Unavailable.
+    // Unavailable. Two distinct first trees split into two slices.
     std::vector<Ast> pool;
     for (int i = 1; i <= 8; ++i)
         pool.push_back(tinyProgram(i));
-    std::size_t shard0 =
-        ShardedEncodingCache::shardOf(digestAst(pool[0]), 4);
-    int other = -1;
-    for (std::size_t i = 1; i < pool.size(); ++i) {
-        if (ShardedEncodingCache::shardOf(digestAst(pool[i]), 4) !=
-            shard0) {
-            other = static_cast<int>(i);
-            break;
-        }
-    }
-    ASSERT_GE(other, 0) << "pool unexpectedly hashed to one shard";
 
     ShardedServer server(
         tinyOptions(), ShardedServer::Options().withNumShards(4));
     server.shutdown();
 
-    std::vector<Engine::PairRequest> crossShard{
-        {&pool[0], &pool[static_cast<std::size_t>(other)]},
-        {&pool[static_cast<std::size_t>(other)], &pool[0]}};
+    std::vector<Engine::PairRequest> crossShard{{&pool[0], &pool[1]},
+                                                {&pool[1], &pool[0]}};
     auto attempted = server.trySubmitCompareMany(crossShard);
     ASSERT_TRUE(attempted.has_value());
     auto got = attempted->get(); // must not throw broken_promise

@@ -23,7 +23,11 @@ and fails (exit 1) on either of two regressions:
    direct Engine — per-batch name resolution is one mutex-protected
    map probe amortised over a whole batch, so a lower ratio means
    the resolution (or the namespaced cache keys) leaked real work
-   into the hot path.
+   into the hot path. The two engines alternate batch by batch
+   (each row's "rounds" holds one rate per batch, in run order), and
+   the gate takes the median of the per-round ratios: one whole run
+   of each read 0.61-0.94x in a quarter of runs on a noisy host with
+   nothing regressed.
 
 3. Noisy-neighbor isolation (ISSUE 6): the interactive tenant's p99
    latency with a quota-capped bulk flood running must stay <= 3x
@@ -56,6 +60,7 @@ and fails (exit 1) on either of two regressions:
    digest routing shows every worker the whole tree pool.
 """
 
+import statistics
 import sys
 
 import bench_gate
@@ -135,13 +140,18 @@ def main() -> int:
         ok &= bench_gate.gate_ratio(f"{shards} shards", rate,
                                     base_rate, floor, detail)
 
-    direct_rate = direct["pairs_per_sec"] if direct else None
-    registry_rate = registry["pairs_per_sec"] if registry else None
-    detail = (f"registry {registry_rate:10.0f} vs direct "
-              f"{direct_rate:10.0f} pairs/s"
-              if direct and registry else "")
-    ok &= bench_gate.gate_ratio("registry overhead", registry_rate,
-                                direct_rate, REGISTRY_FLOOR, detail)
+    # Rounds pair up in run order: each round ran one batch through
+    # both engines back to back, so its ratio cancels host drift.
+    ratios = [r / d for r, d in zip(
+        registry.get("rounds", []) if registry else [],
+        direct.get("rounds", []) if direct else []) if d > 0]
+    median_ratio = statistics.median(ratios) if ratios else None
+    detail = (f"median of {len(ratios)} rounds; registry "
+              f"{registry['pairs_per_sec']:10.0f} vs direct "
+              f"{direct['pairs_per_sec']:10.0f} pairs/s"
+              if ratios else "")
+    ok &= bench_gate.gate_ratio("registry overhead", median_ratio,
+                                1.0, REGISTRY_FLOOR, detail)
 
     solo_p99 = tenant_solo["p99_ms"] if tenant_solo else None
     flood_p99 = tenant_flood["p99_ms"] if tenant_flood else None
