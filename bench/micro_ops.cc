@@ -683,8 +683,9 @@ BENCHMARK(BM_ServingBatchedVsUnbatched)
  * candidate. Candidates are distinct generated programs of one
  * family, ~215 nodes each. No tree is encoded, so the row times the
  * score head plus what the pair references cost around it: digest
- * walks, cache lookups and latent copies. Items/s is pairs scored
- * per second.
+ * reads (each candidate's digest is memoized after the first call),
+ * one cache lookup and one latent copy per distinct tree. Items/s is
+ * pairs scored per second.
  */
 void
 BM_CompareManyAllHit(benchmark::State& state)

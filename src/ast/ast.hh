@@ -10,6 +10,7 @@
 #ifndef CCSA_AST_AST_HH
 #define CCSA_AST_AST_HH
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -59,7 +60,22 @@ struct AstNode
     std::string text;
 };
 
-/** A rooted ordered tree of AstNodes. */
+class Ast;
+
+/**
+ * Digest the model-visible content of a tree (kinds + shape): two
+ * independent FNV-1a streams over (parent, kind) in id order. It keys
+ * the latent cache and routes the IPC shards. The first call walks
+ * the tree and memoizes the value in it; later calls read the memo
+ * until addNode or the non-const node() changes the tree. Threads may
+ * digest one tree concurrently.
+ */
+AstDigest digestAst(const Ast& ast);
+
+/**
+ * A rooted ordered tree of AstNodes. Copies and moves carry the
+ * digest memo, and a move never allocates.
+ */
 class Ast
 {
   public:
@@ -91,6 +107,11 @@ class Ast
     int root() const { return 0; }
 
     const AstNode& node(int id) const;
+
+    /**
+     * Mutable access; clears the digest memo. A reference written
+     * after a later digestAst call is not seen by the memo.
+     */
     AstNode& node(int id);
 
     /** @return parent array (root = -1), e.g. for nn::TreeSpec. */
@@ -121,7 +142,71 @@ class Ast
     std::string toDot() const;
 
   private:
+    friend AstDigest digestAst(const Ast& ast);
+
+    /**
+     * digestAst's memo. Readers that race to fill it store the same
+     * two words, then publish them with a release store of ready_,
+     * which load() pairs with an acquire. A mutator clears it with a
+     * relaxed store: mutation never runs concurrently with a read.
+     * Copying it (moves copy too) never throws, so Ast's implicit
+     * moves stay noexcept.
+     */
+    class DigestMemo
+    {
+      public:
+        DigestMemo() = default;
+        DigestMemo(const DigestMemo& o) noexcept { assign(o); }
+        DigestMemo&
+        operator=(const DigestMemo& o) noexcept
+        {
+            assign(o);
+            return *this;
+        }
+
+        /** @return whether a digest is memoized; if so, into *out. */
+        bool
+        load(AstDigest* out) const noexcept
+        {
+            if (!ready_.load(std::memory_order_acquire))
+                return false;
+            out->lo = lo_.load(std::memory_order_relaxed);
+            out->hi = hi_.load(std::memory_order_relaxed);
+            return true;
+        }
+
+        void
+        store(const AstDigest& d) const noexcept
+        {
+            lo_.store(d.lo, std::memory_order_relaxed);
+            hi_.store(d.hi, std::memory_order_relaxed);
+            ready_.store(true, std::memory_order_release);
+        }
+
+        void
+        clear() noexcept
+        {
+            ready_.store(false, std::memory_order_relaxed);
+        }
+
+      private:
+        void
+        assign(const DigestMemo& o) noexcept
+        {
+            AstDigest d;
+            if (o.load(&d))
+                store(d);
+            else
+                clear();
+        }
+
+        mutable std::atomic<std::uint64_t> lo_{0};
+        mutable std::atomic<std::uint64_t> hi_{0};
+        mutable std::atomic<bool> ready_{false};
+    };
+
     std::vector<AstNode> nodes_;
+    DigestMemo digest_;
 };
 
 } // namespace ccsa

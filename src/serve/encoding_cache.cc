@@ -8,42 +8,6 @@
 namespace ccsa
 {
 
-namespace
-{
-
-constexpr std::uint64_t kFnvOffset = 0xCBF29CE484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001B3ULL;
-/** Second stream: different offset so the two words are independent. */
-constexpr std::uint64_t kFnvOffset2 = 0x6C62272E07BB0142ULL;
-
-inline void
-mix(std::uint64_t& h, std::uint64_t v)
-{
-    h = (h ^ v) * kFnvPrime;
-}
-
-} // namespace
-
-AstDigest
-digestAst(const Ast& ast)
-{
-    AstDigest d;
-    d.lo = kFnvOffset;
-    d.hi = kFnvOffset2;
-    mix(d.lo, static_cast<std::uint64_t>(ast.size()));
-    mix(d.hi, static_cast<std::uint64_t>(ast.size()));
-    for (int id = 0; id < ast.size(); ++id) {
-        const AstNode& n = ast.node(id);
-        std::uint64_t word =
-            (static_cast<std::uint64_t>(
-                 static_cast<std::uint32_t>(n.parent)) << 32) |
-            static_cast<std::uint32_t>(n.kind);
-        mix(d.lo, word);
-        mix(d.hi, word + 0x9E3779B97F4A7C15ULL);
-    }
-    return d;
-}
-
 std::uint64_t
 allocateModelNamespace()
 {

@@ -9,12 +9,13 @@
  * history), which is exactly what an LRU rewards.
  *
  * Keys pair a model-version namespace id with a 128-bit structural
- * digest (two independent FNV-1a streams over the kind/parent
- * arrays); a digest collision needs ~2^64 distinct trees, far beyond
- * any corpus this system serves. The namespace id is what lets many
- * model versions share one cache without ever serving each other's
- * latents: a hot-swapped version gets a fresh namespace and the old
- * version's entries simply age out of the LRU.
+ * digest (digestAst in ast/ast.hh: two independent FNV-1a streams
+ * over the kind/parent arrays, memoized in the tree); a digest
+ * collision needs ~2^64 distinct trees, far beyond any corpus this
+ * system serves. The namespace id is what lets many model versions
+ * share one cache without ever serving each other's latents: a
+ * hot-swapped version gets a fresh namespace and the old version's
+ * entries simply age out of the LRU.
  *
  * Beside the latents, every partition keeps a second LRU of exact
  * fp32 tree-LSTM subtree states keyed by (model version, Merkle
@@ -41,9 +42,6 @@
 
 namespace ccsa
 {
-
-/** Digest the model-visible content of a tree (kinds + shape). */
-AstDigest digestAst(const Ast& ast);
 
 /**
  * Full cache key: which model version encoded the latent, and the

@@ -32,6 +32,16 @@ logitToProb(float logit)
     return 1.0 / (1.0 + std::exp(-logit));
 }
 
+/** A no-grad view of a latent for the score head: wrapping it costs
+ *  a pointer, not a copy. Only valid inside an InferenceScope and
+ *  while `latent` lives. */
+ag::Var
+latentView(Tensor& latent)
+{
+    return ag::Var::noGrad(
+        Tensor::borrowed(latent.data(), latent.rows(), latent.cols()));
+}
+
 /** Wrap a bare predictor in an immutable single-model version. */
 std::shared_ptr<const ModelVersion>
 wrapModel(std::shared_ptr<ComparativePredictor> model,
@@ -219,38 +229,50 @@ Result<std::vector<Tensor>>
 Engine::encodeBatch(const ModelVersion& version,
                     const std::vector<const Ast*>& trees)
 {
+    Result<DistinctLatents> distinct =
+        encodeDistinctLatents(version, trees);
+    if (!distinct.isOk())
+        return distinct.status();
+    const DistinctLatents& d = distinct.value();
+    std::vector<Tensor> out;
+    out.reserve(trees.size());
+    for (std::size_t slot : d.slotOf)
+        out.push_back(d.latents[slot]);
+    return out;
+}
+
+Result<Engine::DistinctLatents>
+Engine::encodeDistinctLatents(const ModelVersion& version,
+                              const std::vector<const Ast*>& trees)
+{
     for (std::size_t i = 0; i < trees.size(); ++i) {
         if (trees[i] == nullptr)
             return Status::invalidArgument(
                 "encodeBatch: null tree at index " + std::to_string(i));
     }
 
-    // Deduplicate by pointer, then by structural digest, preserving
-    // first-appearance order so cache insertion (and therefore
-    // eviction) order is deterministic regardless of the thread
-    // count. A pair batch names each tree many times (a tournament
-    // names every candidate 2(n-1) times), so only the first
-    // reference to a tree pays the digest walk; structurally equal
-    // copies still share one key.
-    std::vector<std::size_t> slot_of(trees.size());
+    // Deduplicate by structural digest, preserving first-appearance
+    // order so cache insertion (and therefore eviction) order is
+    // deterministic regardless of the thread count. The digest is
+    // memoized in the tree, so a tree is walked once in its life
+    // however many references name it (a tournament names every
+    // candidate 2(n-1) times); structurally equal copies share one
+    // key.
+    DistinctLatents out;
+    out.slotOf.resize(trees.size());
     std::vector<const Ast*> unique_trees;
     std::vector<EncodingKey> unique_keys;
     {
-        std::unordered_map<const Ast*, std::size_t> slotOfTree;
         std::unordered_map<AstDigest, std::size_t, AstDigestHash> seen;
         for (std::size_t i = 0; i < trees.size(); ++i) {
-            auto [slot, fresh] = slotOfTree.try_emplace(trees[i], 0);
-            if (fresh) {
-                AstDigest d = digestAst(*trees[i]);
-                auto [it, inserted] =
-                    seen.try_emplace(d, unique_trees.size());
-                if (inserted) {
-                    unique_trees.push_back(trees[i]);
-                    unique_keys.push_back(EncodingKey{version.id, d});
-                }
-                slot->second = it->second;
+            AstDigest d = digestAst(*trees[i]);
+            auto [it, inserted] =
+                seen.try_emplace(d, unique_trees.size());
+            if (inserted) {
+                unique_trees.push_back(trees[i]);
+                unique_keys.push_back(EncodingKey{version.id, d});
             }
-            slot_of[i] = slot->second;
+            out.slotOf[i] = it->second;
         }
     }
 
@@ -262,7 +284,8 @@ Engine::encodeBatch(const ModelVersion& version,
     // stores the identical latent. Keys carry the model-version
     // namespace, so different versions sharing the cache can never
     // race at all — their keys are disjoint.
-    std::vector<Tensor> latents(unique_trees.size());
+    std::vector<Tensor>& latents = out.latents;
+    latents.resize(unique_trees.size());
     std::vector<std::size_t> miss_slots;
     for (std::size_t s = 0; s < unique_trees.size(); ++s) {
         if (!cache_->lookup(unique_keys[s], &latents[s]))
@@ -335,11 +358,6 @@ Engine::encodeBatch(const ModelVersion& version,
         treesEncoded_ += miss_slots.size();
         reuse_ += total;
     }
-
-    std::vector<Tensor> out;
-    out.reserve(trees.size());
-    for (std::size_t i = 0; i < trees.size(); ++i)
-        out.push_back(latents[slot_of[i]]);
     return out;
 }
 
@@ -382,7 +400,8 @@ Engine::compareMany(const ModelVersion& version,
 
     if (timing)
         timing->encodeStart = std::chrono::steady_clock::now();
-    Result<std::vector<Tensor>> latents = encodeBatch(version, trees);
+    Result<DistinctLatents> latents =
+        encodeDistinctLatents(version, trees);
     if (timing)
         timing->encodeEnd = timing->scoreEnd =
             std::chrono::steady_clock::now();
@@ -396,13 +415,18 @@ Engine::compareMany(const ModelVersion& version,
     probs.reserve(pairs.size());
     try {
         // Scoring is tape-free too; each probability is extracted
-        // before the scope (and its arena) dies.
+        // before the scope (and its arena) dies. Each distinct latent
+        // is wrapped once and every pair reads it by slot.
         InferenceScope scope;
+        std::vector<ag::Var> z;
+        z.reserve(latents.value().latents.size());
+        for (Tensor& t : latents.value().latents)
+            z.push_back(latentView(t));
+        const std::vector<std::size_t>& slot = latents.value().slotOf;
         for (std::size_t i = 0; i < pairs.size(); ++i) {
-            ag::Var z = version.model->logitFromEncodings(
-                ag::constant(latents.value()[2 * i]),
-                ag::constant(latents.value()[2 * i + 1]));
-            probs.push_back(logitToProb(z.value().at(0, 0)));
+            ag::Var logit = version.model->logitFromEncodings(
+                z[slot[2 * i]], z[slot[2 * i + 1]]);
+            probs.push_back(logitToProb(logit.value().at(0, 0)));
         }
     } catch (const std::exception& e) {
         return Status::internal(
@@ -464,8 +488,8 @@ Engine::compareManyCached(
         InferenceScope scope;
         for (const auto& pair : pairs) {
             ag::Var z = v.model->logitFromEncodings(
-                ag::constant(latents.at(pair.first)),
-                ag::constant(latents.at(pair.second)));
+                latentView(latents.at(pair.first)),
+                latentView(latents.at(pair.second)));
             probs.push_back(logitToProb(z.value().at(0, 0)));
         }
     } catch (const std::exception& e) {

@@ -454,6 +454,20 @@ class Engine
     void invalidateCache();
 
   private:
+    /** A batch's distinct latents in first-appearance order, and the
+     * slot of each input reference among them. */
+    struct DistinctLatents
+    {
+        std::vector<Tensor> latents;
+        std::vector<std::size_t> slotOf;
+    };
+
+    /** encodeBatch's work, without copying a latent per reference:
+     * compareMany scores straight from the distinct latents. */
+    Result<DistinctLatents>
+    encodeDistinctLatents(const ModelVersion& version,
+                          const std::vector<const Ast*>& trees);
+
     /** Shared ctor tail: validate + allocate the private cache when
      * none was supplied. */
     void init(std::shared_ptr<ShardedEncodingCache> cache,

@@ -1,11 +1,17 @@
 /**
  * @file
- * Tests for the AST arena, traversals, pruning (the reference
- * pruneToFunctions the parser's direct emission is checked against),
- * and node-kind metadata.
+ * Tests for the AST arena, traversals, the memoized structural digest,
+ * pruning (the reference pruneToFunctions the parser's direct
+ * emission is checked against), and node-kind metadata.
  */
 
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <thread>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "ast/ast.hh"
 #include "base/logging.hh"
@@ -199,6 +205,151 @@ TEST(Ast, DepthIgnoresNodeOrder)
     for (int i = 0; i < kDepth; ++i)
         parent = chain.addNode(NodeKind::CompoundStmt, parent);
     EXPECT_EQ(chain.depth(), kDepth + 1);
+}
+
+// ------------------------------------------------------------------
+// digestAst's memo
+
+static_assert(std::is_nothrow_move_constructible_v<Ast>,
+              "std::vector<Ast> growth must move trees, not copy them");
+
+/** A small tree built node by node (no digest memoized). */
+Ast
+sampleTree()
+{
+    Ast ast(NodeKind::Root);
+    int fn = ast.addNode(NodeKind::FunctionDef, ast.root(), "main");
+    int body = ast.addNode(NodeKind::CompoundStmt, fn);
+    int ret = ast.addNode(NodeKind::ReturnStmt, body);
+    ast.addNode(NodeKind::IntLiteral, ret, "0");
+    return ast;
+}
+
+/** digestAst of a new tree adopting `ast`'s nodes: always a walk,
+ *  never a memo hit, and it leaves `ast`'s memo alone. */
+AstDigest
+freshDigest(const Ast& ast)
+{
+    std::vector<AstNode> nodes;
+    for (int id = 0; id < ast.size(); ++id)
+        nodes.push_back(ast.node(id));
+    return digestAst(Ast(std::move(nodes)));
+}
+
+TEST(AstDigest, MemoEqualsFreshWalk)
+{
+    Ast ast = sampleTree();
+    const AstDigest first = digestAst(ast);
+    EXPECT_EQ(digestAst(ast), first);
+    EXPECT_EQ(freshDigest(ast), first);
+    // The FNV value itself is pinned: cache keys, IPC shard routes and
+    // the worker's digest-addressed compares all depend on it.
+    EXPECT_EQ(first.lo, 0x8e303cf4e8f4ddedULL);
+    EXPECT_EQ(first.hi, 0x6a3ddea5fd405283ULL);
+
+    Ast parsed = parseAndPrune(
+        "int main() { int n; cin >> n; "
+        "for (int i = 0; i < n; i++) { n += i; } return n; }");
+    const AstDigest memo = digestAst(parsed);
+    EXPECT_EQ(digestAst(parsed), memo);
+    EXPECT_EQ(freshDigest(parsed), memo);
+    EXPECT_EQ(memo.lo, 0xbcc0a06499fdd0deULL);
+    EXPECT_EQ(memo.hi, 0xbc683c0033b8090bULL);
+}
+
+TEST(AstDigest, MutationInvalidatesMemo)
+{
+    Ast ast = sampleTree();
+    const AstDigest before = digestAst(ast);
+
+    ast.addNode(NodeKind::IntLiteral, 3, "1");
+    const AstDigest grown = digestAst(ast);
+    EXPECT_FALSE(grown == before);
+    EXPECT_EQ(grown, freshDigest(ast));
+
+    ast.node(4).kind = NodeKind::VarRef;
+    const AstDigest edited = digestAst(ast);
+    EXPECT_FALSE(edited == grown);
+    EXPECT_EQ(edited, freshDigest(ast));
+}
+
+TEST(AstDigest, CopiesAndMovesCarryMemo)
+{
+    Ast plain = sampleTree();
+    const AstDigest want = digestAst(plain);
+    Ast plainCopy(plain);
+    EXPECT_EQ(digestAst(plainCopy), want);
+    Ast plainMoved(std::move(plainCopy));
+    EXPECT_EQ(digestAst(plainMoved), want);
+
+    // A reference held across digestAst and written after it leaves
+    // the memo stale (ast.hh says so). Only a carried memo returns
+    // that stale value, so it tells a carried memo from a new walk.
+    Ast ast = sampleTree();
+    AstNode& held = ast.node(2);
+    const AstDigest memo = digestAst(ast);
+    held.kind = NodeKind::ForStmt;
+    ASSERT_FALSE(freshDigest(ast) == memo);
+    ASSERT_EQ(digestAst(ast), memo);
+
+    Ast copy(ast);
+    EXPECT_EQ(digestAst(copy), memo);
+    Ast moved(std::move(copy));
+    EXPECT_EQ(digestAst(moved), memo);
+    Ast assigned;
+    assigned = ast;
+    EXPECT_EQ(digestAst(assigned), memo);
+    Ast moveAssigned;
+    moveAssigned = std::move(assigned);
+    EXPECT_EQ(digestAst(moveAssigned), memo);
+
+    std::vector<Ast> trees;
+    trees.push_back(ast);
+    for (int i = 0; i < 16; ++i)
+        trees.push_back(sampleTree());
+    EXPECT_EQ(digestAst(trees[0]), memo);
+
+    // A tree without a memo hands none on: its copy walks.
+    Ast unmemoized = sampleTree();
+    AstNode& edit = unmemoized.node(2);
+    Ast beforeEdit(unmemoized);
+    edit.kind = NodeKind::ForStmt;
+    Ast afterEdit(unmemoized);
+    EXPECT_EQ(digestAst(beforeEdit), want);
+    EXPECT_EQ(digestAst(afterEdit), freshDigest(unmemoized));
+}
+
+TEST(AstDigest, ConcurrentFirstDigestsAgree)
+{
+    // Wide enough that the first walks overlap: every thread finds
+    // no memo, walks, and stores the same value.
+    Ast base(NodeKind::Root);
+    int fn = base.addNode(NodeKind::FunctionDef, base.root(), "f");
+    for (int i = 0; i < 20000; ++i)
+        base.addNode(i % 2 ? NodeKind::IntLiteral : NodeKind::VarRef,
+                     fn + i / 3);
+    const AstDigest want = freshDigest(base);
+
+    constexpr int kThreads = 8;
+    for (int round = 0; round < 4; ++round) {
+        const Ast tree(base);
+        std::atomic<int> arrived{0};
+        std::vector<AstDigest> got(kThreads);
+        std::vector<std::thread> threads;
+        for (int t = 0; t < kThreads; ++t) {
+            threads.emplace_back([&, t] {
+                arrived.fetch_add(1);
+                while (arrived.load() < kThreads)
+                    std::this_thread::yield();
+                got[t] = digestAst(tree);
+            });
+        }
+        for (std::thread& th : threads)
+            th.join();
+        for (int t = 0; t < kThreads; ++t)
+            EXPECT_EQ(got[t], want) << "round " << round << " thread " << t;
+        EXPECT_EQ(digestAst(tree), want);
+    }
 }
 
 TEST(Prune, NoFunctionsFatal)

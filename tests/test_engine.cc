@@ -540,7 +540,7 @@ TEST(Engine, EncodeBatchDedupsWithinOneCall)
         latents.value()[0].maxAbsDiff(latents.value()[2]), 0.0f);
 }
 
-TEST(Engine, EncodeBatchDedupsByPointerThenByDigest)
+TEST(Engine, EncodeBatchSharesOneKeyPerStructure)
 {
     // Repeated pointers and a structurally equal copy share one key:
     // two distinct trees, two entries, one latent per reference.
@@ -579,6 +579,34 @@ TEST(Engine, EncodeBatchDedupsByPointerThenByDigest)
     for (std::size_t i = 0; i < refs.size(); ++i)
         EXPECT_TRUE(sameBits(warm.value()[i], cold.value()[i]))
             << "ref " << i;
+}
+
+TEST(Engine, WarmTournamentCopiesEachLatentOnce)
+{
+    // An all-hit tournament copies each distinct latent out of the
+    // cache once and scores every pair from views of those copies,
+    // so its tensor allocations grow with the 8 trees, not with the
+    // 112 pair references.
+    Engine engine(tinyOptions());
+    std::vector<Ast> trees;
+    for (int i = 1; i <= 8; ++i)
+        trees.push_back(tinyProgram(i));
+    std::vector<const Ast*> ptrs;
+    for (const Ast& t : trees)
+        ptrs.push_back(&t);
+    const std::vector<Engine::PairRequest> pairs =
+        Engine::tournamentPairs(ptrs);
+    ASSERT_EQ(pairs.size(), 56u);
+
+    auto cold = engine.compareMany(pairs);
+    ASSERT_TRUE(cold.isOk());
+    const std::uint64_t before = tensorHeapAllocCount();
+    auto warm = engine.compareMany(pairs);
+    const std::uint64_t allocs = tensorHeapAllocCount() - before;
+    ASSERT_TRUE(warm.isOk());
+    EXPECT_EQ(warm.value(), cold.value());
+    EXPECT_EQ(engine.stats().treesEncoded, trees.size());
+    EXPECT_LE(allocs, trees.size());
 }
 
 TEST(Engine, CacheEvictionRespectsCapacity)

@@ -188,6 +188,10 @@ TEST(IpcWire, CompareRequestRoundtripDedupsTrees)
     ipc::Writer rebuilt;
     ipc::putAst(rebuilt, decoded.trees[0]);
     EXPECT_EQ(original.bytes(), rebuilt.bytes());
+    // ...and digest to the keys the server routes and addresses them
+    // by.
+    EXPECT_EQ(digestAst(decoded.trees[0]), digestAst(a));
+    EXPECT_EQ(digestAst(decoded.trees[1]), digestAst(b));
 
     // Trailing garbage is rejected (no silent over-read).
     payload.push_back(0);

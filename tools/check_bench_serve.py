@@ -42,7 +42,11 @@ and fails (exit 1) on either of two regressions:
    sampler) must stay >= 0.97x the bare server. Recording is relaxed
    atomic adds outside the server's stats mutex, so a lower ratio
    means metrics work leaked into a serial section (e.g. a registry
-   map lookup per request instead of a cached instrument ref).
+   map lookup per request instead of a cached instrument ref). Both
+   servers stay live and the clients drive them in alternating
+   rounds; the gate takes the median of the per-round ratios, as for
+   the registry rows: one whole run of each failed the floor in 32
+   of 100 runs on a noisy host with nothing regressed.
 
 5. Process-isolation overhead (ISSUE 8): the same interactive
    workload on ProcessShardedServer (4 crash-isolated worker
@@ -89,6 +93,16 @@ METRICS_FLOOR = 0.97
 # regression this guards against lands at <= 0.2x.
 IPC_FLOOR = 0.45
 IPC_SHARDS = 4
+
+
+def round_ratios(num, den):
+    """Per-round num/den rate ratios of two rows measured in
+    alternating rounds. Rounds pair up in run order: each round ran
+    the same work through both back to back, so its ratio cancels
+    host drift."""
+    return [n / d for n, d in zip(
+        num.get("rounds", []) if num else [],
+        den.get("rounds", []) if den else []) if d > 0]
 
 
 def main() -> int:
@@ -140,11 +154,7 @@ def main() -> int:
         ok &= bench_gate.gate_ratio(f"{shards} shards", rate,
                                     base_rate, floor, detail)
 
-    # Rounds pair up in run order: each round ran one batch through
-    # both engines back to back, so its ratio cancels host drift.
-    ratios = [r / d for r, d in zip(
-        registry.get("rounds", []) if registry else [],
-        direct.get("rounds", []) if direct else []) if d > 0]
+    ratios = round_ratios(registry, direct)
     median_ratio = statistics.median(ratios) if ratios else None
     detail = (f"median of {len(ratios)} rounds; registry "
               f"{registry['pairs_per_sec']:10.0f} vs direct "
@@ -163,12 +173,14 @@ def main() -> int:
                                 flood_p99, NOISY_NEIGHBOR_FLOOR,
                                 detail)
 
-    off_rate = metrics_off["pairs_per_sec"] if metrics_off else None
-    on_rate = metrics_on["pairs_per_sec"] if metrics_on else None
-    detail = (f"on {on_rate:10.0f} vs off {off_rate:10.0f} pairs/s"
-              if metrics_off and metrics_on else "")
-    ok &= bench_gate.gate_ratio("metrics overhead", on_rate,
-                                off_rate, METRICS_FLOOR, detail)
+    ratios = round_ratios(metrics_on, metrics_off)
+    median_ratio = statistics.median(ratios) if ratios else None
+    detail = (f"median of {len(ratios)} rounds; on "
+              f"{metrics_on['pairs_per_sec']:10.0f} vs off "
+              f"{metrics_off['pairs_per_sec']:10.0f} pairs/s"
+              if ratios else "")
+    ok &= bench_gate.gate_ratio("metrics overhead", median_ratio,
+                                1.0, METRICS_FLOOR, detail)
 
     sharded_ref = sharded.get(IPC_SHARDS)
     ref_rate = sharded_ref["pairs_per_sec"] if sharded_ref else None
