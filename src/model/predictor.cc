@@ -76,16 +76,16 @@ Status
 ComparativePredictor::load(const std::string& path)
 {
     try {
-        std::optional<nn::CheckpointManifest> manifest =
+        nn::CheckpointManifest manifest =
             nn::readCheckpointManifest(path);
         // A self-describing checkpoint must actually describe THIS
         // model: a config mismatch that happens to share parameter
         // shapes (e.g. a different encoder kind) would otherwise
         // load garbage weights silently.
-        if (manifest && configFromManifest(*manifest) != cfg_)
+        if (configFromManifest(manifest) != cfg_)
             return Status::ioError(
                 "load: checkpoint config does not match the model "
-                "(saved from '" + manifest->modelName + "')");
+                "(saved from '" + manifest.modelName + "')");
         nn::loadParameters(path, parameters());
     } catch (const FatalError& e) {
         return Status::ioError(e.what());
@@ -96,29 +96,24 @@ ComparativePredictor::load(const std::string& path)
 Result<std::shared_ptr<ComparativePredictor>>
 ComparativePredictor::fromCheckpoint(const std::string& path)
 {
-    std::optional<nn::CheckpointManifest> manifest;
+    nn::CheckpointManifest manifest;
     try {
         manifest = nn::readCheckpointManifest(path);
     } catch (const FatalError& e) {
         return Status::ioError(e.what());
     }
-    if (!manifest)
-        return Status::invalidArgument(
-            "fromCheckpoint: " + path +
-            " is a v1 checkpoint with no embedded config; build the "
-            "model from its EncoderConfig and load() instead");
     // A corrupt (or future-format) manifest must come back as a
     // Status, not escape construction as a thrown enum/dimension
     // error — load() promises a serving process survives bad files.
-    if (manifest->encoderKind < 0 || manifest->encoderKind > 2 ||
-        manifest->arch < 0 || manifest->arch > 2 ||
-        manifest->embedDim < 1 || manifest->hiddenDim < 1 ||
-        manifest->layers < 1)
+    if (manifest.encoderKind < 0 || manifest.encoderKind > 2 ||
+        manifest.arch < 0 || manifest.arch > 2 ||
+        manifest.embedDim < 1 || manifest.hiddenDim < 1 ||
+        manifest.layers < 1)
         return Status::ioError(
             "fromCheckpoint: corrupt manifest in " + path);
     try {
         auto model = std::make_shared<ComparativePredictor>(
-            configFromManifest(*manifest), /*seed=*/1);
+            configFromManifest(manifest), /*seed=*/1);
         Status loaded = model->load(path);
         if (!loaded.isOk())
             return loaded;

@@ -80,12 +80,12 @@ class ComparativePredictor : public nn::Module
      * FatalError is gone: a serving process must be able to survive
      * a bad model path).
      *
-     * save() writes a self-describing v2 checkpoint: the manifest
+     * save() writes a self-describing checkpoint: the manifest
      * embeds this model's EncoderConfig plus a model name and a
      * monotonically increasing version id (ModelRegistry::save
      * supplies real ones; the single-arg overload stamps
-     * "model" / 1). load() accepts v1 and v2 files; when a manifest
-     * is present its embedded config must match this model's.
+     * "model" / 1). load() requires the manifest's embedded config
+     * to match this model's.
      */
     Status save(const std::string& path);
     Status save(const std::string& path, const std::string& name,
@@ -93,16 +93,14 @@ class ComparativePredictor : public nn::Module
     Status load(const std::string& path);
 
     /**
-     * Reconstruct a predictor from a self-describing v2 checkpoint:
-     * the architecture comes from the embedded manifest, the weights
-     * from the payload. A v1 file (no manifest) is an
-     * InvalidArgument — the caller must build the model from a known
-     * EncoderConfig and load() into it instead.
+     * Reconstruct a predictor from a self-describing checkpoint: the
+     * architecture comes from the embedded manifest, the weights
+     * from the payload.
      */
     static Result<std::shared_ptr<ComparativePredictor>>
     fromCheckpoint(const std::string& path);
 
-    /** Manifest encoder words for this model's config (v2 save). */
+    /** Manifest encoder words for this model's config (save). */
     static nn::CheckpointManifest
     manifestFor(const EncoderConfig& cfg, const std::string& name,
                 std::uint64_t version);

@@ -12,8 +12,7 @@ namespace
 {
 
 const char kMagic[4] = {'C', 'C', 'S', 'A'};
-const std::uint32_t kVersionLegacy = 1;
-const std::uint32_t kVersionManifest = 2;
+const std::uint32_t kVersion = 2;
 
 template <typename T>
 void
@@ -29,6 +28,19 @@ readRaw(std::ifstream& f, T& v)
     f.read(reinterpret_cast<char*>(&v), sizeof(T));
 }
 
+/** Bytes between the read position and the end of the file (0 once
+ * the stream has failed). */
+std::uint64_t
+bytesLeft(std::ifstream& f)
+{
+    std::streamoff here = f.tellg();
+    f.seekg(0, std::ios::end);
+    std::streamoff end = f.tellg();
+    f.seekg(here);
+    return here < 0 || end < here ? 0
+                                  : static_cast<std::uint64_t>(end - here);
+}
+
 void
 writeString(std::ofstream& f, const std::string& s)
 {
@@ -39,13 +51,12 @@ writeString(std::ofstream& f, const std::string& s)
 std::string
 readString(std::ifstream& f, const std::string& path)
 {
-    // Names are short; a length beyond this is file corruption, and
-    // honouring it would allocate gigabytes (std::bad_alloc escapes
+    // A length beyond the bytes left is file corruption, and
+    // honouring it would allocate up to 4 GB (std::bad_alloc escapes
     // the FatalError-only recovery in the Status-returning loaders).
-    constexpr std::uint32_t kMaxStringLen = 1u << 20;
     std::uint32_t len = 0;
     readRaw(f, len);
-    if (!f || len > kMaxStringLen)
+    if (!f || len > bytesLeft(f))
         fatal("loadParameters: corrupt string length in ", path);
     std::string s(len, '\0');
     f.read(s.data(), len);
@@ -99,7 +110,7 @@ writeParams(std::ofstream& f, const std::vector<Parameter*>& params)
 }
 
 /** Read the magic + version header; fatal on a foreign file. */
-std::uint32_t
+void
 readHeader(std::ifstream& f, const std::string& path)
 {
     char magic[4];
@@ -108,9 +119,9 @@ readHeader(std::ifstream& f, const std::string& path)
         fatal("loadParameters: bad magic in ", path);
     std::uint32_t version = 0;
     readRaw(f, version);
-    if (version != kVersionLegacy && version != kVersionManifest)
-        fatal("loadParameters: unsupported version ", version);
-    return version;
+    if (version != kVersion)
+        fatal("loadParameters: unsupported version ", version, " in ",
+              path);
 }
 
 } // namespace
@@ -131,22 +142,8 @@ saveParameters(const std::string& path,
     if (!f)
         fatal("saveParameters: cannot open ", path);
     f.write(kMagic, 4);
-    writeRaw(f, kVersionManifest);
+    writeRaw(f, kVersion);
     writeManifest(f, manifest);
-    writeParams(f, params);
-    if (!f)
-        fatal("saveParameters: write error on ", path);
-}
-
-void
-saveParametersV1(const std::string& path,
-                 const std::vector<Parameter*>& params)
-{
-    std::ofstream f(path, std::ios::binary);
-    if (!f)
-        fatal("saveParameters: cannot open ", path);
-    f.write(kMagic, 4);
-    writeRaw(f, kVersionLegacy);
     writeParams(f, params);
     if (!f)
         fatal("saveParameters: write error on ", path);
@@ -159,8 +156,8 @@ loadParameters(const std::string& path,
     std::ifstream f(path, std::ios::binary);
     if (!f)
         fatal("loadParameters: cannot open ", path);
-    if (readHeader(f, path) == kVersionManifest)
-        readManifest(f, path); // weights load ignores the manifest
+    readHeader(f, path);
+    readManifest(f, path); // weights load ignores the manifest
     std::uint32_t count = 0;
     readRaw(f, count);
 
@@ -176,13 +173,16 @@ loadParameters(const std::string& path,
         std::int32_t rows = 0, cols = 0;
         readRaw(f, rows);
         readRaw(f, cols);
-        // Same corruption guard as readString: a negative or absurd
-        // shape must fail as FatalError, not as a giant allocation.
-        constexpr std::int32_t kMaxDim = 1 << 20;
-        if (!f || rows < 0 || cols < 0 || rows > kMaxDim ||
-            cols > kMaxDim)
+        if (!f || rows < 0 || cols < 0)
             fatal("loadParameters: corrupt shape for '", name,
                   "' in ", path);
+        // Same guard as readString: the payload is sized from the
+        // shape only once the file is known to hold it.
+        std::uint64_t payload = static_cast<std::uint64_t>(rows) *
+            static_cast<std::uint64_t>(cols) * sizeof(float);
+        if (payload > bytesLeft(f))
+            fatal("loadParameters: ", rows, "x", cols, " payload of '",
+                  name, "' exceeds the bytes left in ", path);
         Entry e;
         e.rows = rows;
         e.cols = cols;
@@ -216,14 +216,13 @@ loadParameters(const std::string& path,
     }
 }
 
-std::optional<CheckpointManifest>
+CheckpointManifest
 readCheckpointManifest(const std::string& path)
 {
     std::ifstream f(path, std::ios::binary);
     if (!f)
         fatal("readCheckpointManifest: cannot open ", path);
-    if (readHeader(f, path) == kVersionLegacy)
-        return std::nullopt;
+    readHeader(f, path);
     return readManifest(f, path);
 }
 

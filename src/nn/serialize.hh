@@ -4,24 +4,25 @@
  * can be saved from one process and reloaded in another (the paper's
  * continuous-learning deployment needs persistent models).
  *
- * Format v2 — self-describing checkpoints: magic "CCSA" + version +
- * a manifest (model name, monotonically increasing version id, the
- * encoder configuration as five raw int32 words), then count and per
- * parameter: name length, name bytes, rows, cols, row-major float32
- * payload. A v2 file carries everything needed to reconstruct the
- * model it was saved from; callers no longer have to know the
- * EncoderConfig out of band (ModelRegistry leans on this).
+ * Format (version 2) — self-describing checkpoints: magic "CCSA" +
+ * version + a manifest (model name, monotonically increasing version
+ * id, the encoder configuration as five raw int32 words), then count
+ * and per parameter: name length, name bytes, rows, cols, row-major
+ * float32 payload. A file carries everything needed to reconstruct
+ * the model it was saved from; callers never have to know the
+ * EncoderConfig out of band (ModelRegistry leans on this). Any other
+ * version, including the manifest-less version 1, is refused.
  *
- * Format v1 (legacy) is the same without the manifest. v1 files
- * still LOAD — loadParameters accepts both — but every save now
- * writes v2.
+ * Readers never allocate more than the file holds: every length and
+ * shape is checked against the bytes left in the file before
+ * anything is sized from it, so a corrupt or crafted header fails as
+ * FatalError instead of as a giant allocation.
  */
 
 #ifndef CCSA_NN_SERIALIZE_HH
 #define CCSA_NN_SERIALIZE_HH
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -33,7 +34,7 @@ namespace nn
 {
 
 /**
- * The self-describing header of a v2 checkpoint. The encoder
+ * The self-describing header of a checkpoint. The encoder
  * configuration is stored as raw int32 words so this layer stays
  * independent of model/config.hh; ComparativePredictor converts
  * to and from EncoderConfig.
@@ -54,40 +55,30 @@ struct CheckpointManifest
 };
 
 /**
- * Write all parameters to a binary v2 file under a default manifest.
+ * Write all parameters to a checkpoint under a default manifest.
  * @throws FatalError on I/O.
  */
 void saveParameters(const std::string& path,
                     const std::vector<Parameter*>& params);
 
-/** Write a v2 file with an explicit manifest. @throws FatalError. */
+/** Write a checkpoint with an explicit manifest. @throws FatalError. */
 void saveParameters(const std::string& path,
                     const std::vector<Parameter*>& params,
                     const CheckpointManifest& manifest);
 
 /**
- * Write the LEGACY v1 layout (no manifest). Kept so the v1
- * backward-compatibility contract stays testable; new code always
- * writes v2. @throws FatalError on I/O.
- */
-void saveParametersV1(const std::string& path,
-                      const std::vector<Parameter*>& params);
-
-/**
- * Load parameters by name from a v1 or v2 file; every parameter must
- * be present with matching shape. @throws FatalError on mismatch or
- * I/O error.
+ * Load parameters by name from a checkpoint; every parameter must be
+ * present with matching shape. @throws FatalError on mismatch,
+ * corruption or I/O error.
  */
 void loadParameters(const std::string& path,
                     const std::vector<Parameter*>& params);
 
 /**
  * Read just the manifest of a checkpoint.
- * @return the manifest of a v2 file, or nullopt for a v1 file (which
- * has none). @throws FatalError on I/O error or corruption.
+ * @throws FatalError on I/O error, corruption or a foreign version.
  */
-std::optional<CheckpointManifest>
-readCheckpointManifest(const std::string& path);
+CheckpointManifest readCheckpointManifest(const std::string& path);
 
 } // namespace nn
 } // namespace ccsa

@@ -113,24 +113,6 @@ LruCache<Value>::clear()
 }
 
 template <class Value>
-void
-LruCache<Value>::clearNamespace(std::uint64_t modelVersion)
-{
-    for (auto it = order_.begin(); it != order_.end();) {
-        if (it->key.modelVersion == modelVersion) {
-            residentBytes_ -= it->value.payloadBytes();
-            entries_.erase(it->key);
-            it = order_.erase(it);
-        } else {
-            ++it;
-        }
-    }
-    NamespaceStats& ns = perNamespace_[modelVersion];
-    ns.residents = 0;
-    ns.residentBytes = 0;
-}
-
-template <class Value>
 typename LruCache<Value>::NamespaceStats
 LruCache<Value>::namespaceStats(std::uint64_t modelVersion) const
 {
@@ -166,16 +148,7 @@ EncodingCache::insert(const EncodingKey& key, Tensor latent)
 ShardedEncodingCache::ShardedEncodingCache(
     std::size_t numShards, std::size_t capacityPerShard,
     LatentPrecision precision)
-    : ShardedEncodingCache(numShards, capacityPerShard, precision,
-                           /*namespaceAware=*/false)
-{
-}
-
-ShardedEncodingCache::ShardedEncodingCache(
-    std::size_t numShards, std::size_t capacityPerShard,
-    LatentPrecision precision, bool namespaceAware)
-    : capacityPerShard_(capacityPerShard), precision_(precision),
-      namespaceAware_(namespaceAware)
+    : capacityPerShard_(capacityPerShard), precision_(precision)
 {
     if (numShards == 0)
         fatal("ShardedEncodingCache: numShards must be >= 1");
@@ -183,48 +156,6 @@ ShardedEncodingCache::ShardedEncodingCache(
     for (std::size_t s = 0; s < numShards; ++s)
         shards_.push_back(
             std::make_unique<Shard>(capacityPerShard, precision));
-}
-
-std::shared_ptr<ShardedEncodingCache>
-ShardedEncodingCache::makeShared(std::size_t numShards,
-                                 std::size_t capacityPerShard,
-                                 LatentPrecision precision)
-{
-    return std::shared_ptr<ShardedEncodingCache>(
-        new ShardedEncodingCache(numShards, capacityPerShard,
-                                 precision,
-                                 /*namespaceAware=*/true));
-}
-
-std::uint64_t
-ShardedEncodingCache::namespaceFor(
-    const std::shared_ptr<const void>& owner)
-{
-    if (!namespaceAware_)
-        fatal("ShardedEncodingCache: namespaceFor on a cache not "
-              "built via makeShared()");
-    if (!owner)
-        fatal("ShardedEncodingCache: namespaceFor(nullptr)");
-    std::lock_guard<std::mutex> lock(namespaceMutex_);
-    // Reclaim memo rows whose model died: under continuous hot-swap
-    // (a fresh model object per publish) the memo would otherwise
-    // grow by one entry per retired version forever.
-    for (auto it = namespaces_.begin(); it != namespaces_.end();) {
-        if (it->second.owner.expired())
-            it = namespaces_.erase(it);
-        else
-            ++it;
-    }
-    NamespaceEntry& entry = namespaces_[owner.get()];
-    // A dead weak_ptr means the address was recycled by a NEW model:
-    // mint a fresh id so the newcomer can never read the old
-    // tenant's latents. (The sweep above already dropped such rows,
-    // but a zero id covers the freshly-inserted case too.)
-    if (entry.id == 0 || entry.owner.expired()) {
-        entry.owner = owner;
-        entry.id = allocateModelNamespace();
-    }
-    return entry.id;
 }
 
 bool
@@ -281,19 +212,6 @@ ShardedEncodingCache::clear()
         }
         std::lock_guard<std::mutex> lock(shard->stateMutex);
         shard->states.clear();
-    }
-}
-
-void
-ShardedEncodingCache::clearNamespace(std::uint64_t modelVersion)
-{
-    for (auto& shard : shards_) {
-        {
-            std::lock_guard<std::mutex> lock(shard->mutex);
-            shard->cache.clearNamespace(modelVersion);
-        }
-        std::lock_guard<std::mutex> lock(shard->stateMutex);
-        shard->states.clearNamespace(modelVersion);
     }
 }
 

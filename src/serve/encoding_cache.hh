@@ -78,9 +78,9 @@ struct EncodingKeyHash
 /**
  * @return a fresh process-unique model-version namespace id
  * (monotonically increasing, never reused, never 0). Every
- * ModelVersion — registry-published or wrapped by an Engine — draws
- * from this one counter, so namespaces can never collide no matter
- * which caches and registries end up sharing a process.
+ * ModelVersion a ModelRegistry publishes draws from this one
+ * counter, so namespaces can never collide no matter which caches
+ * and registries end up sharing a process.
  */
 std::uint64_t allocateModelNamespace();
 
@@ -160,9 +160,6 @@ class LruCache
 
     /** Drop every entry (counters are preserved). */
     void clear();
-
-    /** Drop one namespace's entries (counters preserved). */
-    void clearNamespace(std::uint64_t modelVersion);
 
     std::size_t size() const { return entries_.size(); }
     std::size_t capacity() const { return capacity_; }
@@ -256,20 +253,16 @@ struct SubtreeState
  * mutex-guarded EncodingCache — the Engine always goes through this
  * class so the sharded and unsharded code paths cannot drift.
  *
- * Namespace-aware mode: a cache built through makeShared() is meant
- * to be SHARED between engines (sharded serving, model registries)
- * and can mint a namespace per distinct model object via
- * namespaceFor(). Engines refuse to attach to an external cache that
- * was NOT built this way — before namespaced keys existed, two
- * models sharing a digest-keyed cache silently served each other's
- * latents, and the construction-time FatalError is what keeps that
- * hazard structurally impossible now.
+ * Any cache may be shared between engines (sharded serving, model
+ * registries): every key carries its ModelVersion's process-unique
+ * id, so two models sharing a cache can never serve each other's
+ * latents, while engines serving one version share them.
  */
 class ShardedEncodingCache
 {
   public:
     /**
-     * A private (single-tenant) partitioned cache.
+     * A partitioned cache.
      * @param numShards partition count (>= 1).
      * @param capacityPerShard LRU capacity of EACH partition (>= 1);
      * aggregate capacity is numShards * capacityPerShard, which is
@@ -284,28 +277,6 @@ class ShardedEncodingCache
     ShardedEncodingCache(const ShardedEncodingCache&) = delete;
     ShardedEncodingCache& operator=(const ShardedEncodingCache&) =
         delete;
-
-    /**
-     * Build a namespace-aware cache for sharing between engines —
-     * the only flavour Engine accepts as an external cache.
-     */
-    static std::shared_ptr<ShardedEncodingCache>
-    makeShared(std::size_t numShards, std::size_t capacityPerShard,
-               LatentPrecision precision = LatentPrecision::kFp32);
-
-    /** @return true when built via makeShared(). */
-    bool namespaceAware() const { return namespaceAware_; }
-
-    /**
-     * Mint (or recall) the namespace id for a model object: the same
-     * live object always maps to the same id, so N engines serving
-     * one predictor share latents, while distinct models get
-     * distinct namespaces and can never cross-read. Ids are drawn
-     * from allocateModelNamespace() and never reused — a model freed
-     * and reallocated at the same address gets a fresh namespace.
-     * FatalError unless namespaceAware().
-     */
-    std::uint64_t namespaceFor(const std::shared_ptr<const void>& owner);
 
     /** @return the partition that owns a digest under n shards. */
     static std::size_t
@@ -351,11 +322,6 @@ class ShardedEncodingCache
     /** Drop every latent and subtree state in every partition
      * (counters preserved). */
     void clear();
-
-    /** Drop one namespace's latents and subtree states everywhere
-     * (counters preserved) — e.g. after mutating a model's weights
-     * in place. */
-    void clearNamespace(std::uint64_t modelVersion);
 
     /** @return total resident entries across all partitions. */
     std::size_t size() const;
@@ -405,24 +371,9 @@ class ShardedEncodingCache
         }
     };
 
-    ShardedEncodingCache(std::size_t numShards,
-                         std::size_t capacityPerShard,
-                         LatentPrecision precision,
-                         bool namespaceAware);
-
     std::vector<std::unique_ptr<Shard>> shards_;
     std::size_t capacityPerShard_;
     LatentPrecision precision_ = LatentPrecision::kFp32;
-    bool namespaceAware_ = false;
-
-    /** Guards the model-object -> namespace-id memo below. */
-    std::mutex namespaceMutex_;
-    struct NamespaceEntry
-    {
-        std::weak_ptr<const void> owner;
-        std::uint64_t id = 0;
-    };
-    std::unordered_map<const void*, NamespaceEntry> namespaces_;
 };
 
 /**

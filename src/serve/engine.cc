@@ -42,22 +42,7 @@ latentView(Tensor& latent)
         Tensor::borrowed(latent.data(), latent.rows(), latent.cols()));
 }
 
-/** Wrap a bare predictor in an immutable single-model version. */
-std::shared_ptr<const ModelVersion>
-wrapModel(std::shared_ptr<ComparativePredictor> model,
-          std::uint64_t namespaceId)
-{
-    auto version = std::make_shared<ModelVersion>();
-    version->name = "model";
-    version->id = namespaceId;
-    version->sequence = 1;
-    version->model = std::move(model);
-    return version;
-}
-
 } // namespace
-
-Engine::Engine() : Engine(Options()) {}
 
 Engine::Engine(Options opts)
     : Engine(std::make_shared<ComparativePredictor>(opts.encoder,
@@ -66,92 +51,33 @@ Engine::Engine(Options opts)
 {
 }
 
-Engine::Engine(std::shared_ptr<ComparativePredictor> model)
-    : Engine(std::move(model), Options())
-{
-}
-
 Engine::Engine(std::shared_ptr<ComparativePredictor> model,
                Options opts)
-    : version_(wrapModel(model, allocateModelNamespace())),
-      opts_(opts), pool_(opts.threads)
+    : Engine(std::make_shared<ModelRegistry>(), opts)
 {
-    if (!version_->model)
-        fatal("Engine: null model");
-    opts_.encoder = version_->model->config();
-    init(nullptr, /*externalCache=*/false);
-}
-
-Engine::Engine(std::shared_ptr<ComparativePredictor> model,
-               Options opts,
-               std::shared_ptr<ShardedEncodingCache> cache)
-    : opts_(opts), pool_(opts.threads)
-{
-    if (!model)
-        fatal("Engine: null model");
-    init(std::move(cache), /*externalCache=*/true);
-    // Same model object => same namespace => shared latents; a
-    // different model sharing this cache gets its own namespace.
-    version_ = wrapModel(model, cache_->namespaceFor(model));
-    opts_.encoder = version_->model->config();
+    registry_->publish("model", std::move(model));
 }
 
 Engine::Engine(std::shared_ptr<const ModelVersion> version,
                Options opts,
                std::shared_ptr<ShardedEncodingCache> cache)
-    : version_(std::move(version)), opts_(opts), pool_(opts.threads)
+    : Engine(std::make_shared<ModelRegistry>(std::move(version)), opts,
+             std::move(cache))
 {
-    if (!version_ || !version_->model)
-        fatal("Engine: null model version");
-    if (version_->id == 0)
-        fatal("Engine: model version without a cache namespace");
-    opts_.encoder = version_->model->config();
-    init(std::move(cache), /*externalCache=*/true);
-}
-
-Engine::Engine(std::shared_ptr<ModelRegistry> registry)
-    : Engine(std::move(registry), Options())
-{
-}
-
-Engine::Engine(std::shared_ptr<ModelRegistry> registry, Options opts)
-    : registry_(std::move(registry)), opts_(opts),
-      pool_(opts.threads)
-{
-    if (!registry_)
-        fatal("Engine: null registry");
-    init(nullptr, /*externalCache=*/false);
 }
 
 Engine::Engine(std::shared_ptr<ModelRegistry> registry, Options opts,
                std::shared_ptr<ShardedEncodingCache> cache)
     : registry_(std::move(registry)), opts_(opts),
-      pool_(opts.threads)
+      pool_(opts.threads), cache_(std::move(cache))
 {
     if (!registry_)
         fatal("Engine: null registry");
-    init(std::move(cache), /*externalCache=*/true);
-}
-
-void
-Engine::init(std::shared_ptr<ShardedEncodingCache> cache,
-             bool externalCache)
-{
+    if (!cache_)
+        cache_ = std::make_shared<ShardedEncodingCache>(
+            opts_.cacheShards == 0 ? 1 : opts_.cacheShards,
+            opts_.cacheCapacity, opts_.latentPrecision);
     initMetrics();
-    if (externalCache) {
-        if (!cache)
-            fatal("Engine: null cache");
-        if (!cache->namespaceAware())
-            fatal("Engine: an external shared cache must be built "
-                  "via ShardedEncodingCache::makeShared() — a "
-                  "digest-only cache would serve one model's latents "
-                  "to another");
-        cache_ = std::move(cache);
-        return;
-    }
-    cache_ = std::make_shared<ShardedEncodingCache>(
-        opts_.cacheShards == 0 ? 1 : opts_.cacheShards,
-        opts_.cacheCapacity, opts_.latentPrecision);
 }
 
 void
@@ -183,29 +109,19 @@ Engine::initMetrics()
 Result<std::shared_ptr<const ModelVersion>>
 Engine::resolveModel(const std::string& name) const
 {
-    return resolveModel(registry_.get(), version_, name);
+    return resolveModel(*registry_, name);
 }
 
 Result<std::shared_ptr<const ModelVersion>>
-Engine::resolveModel(const ModelRegistry* registry,
-                     const std::shared_ptr<const ModelVersion>& fixed,
+Engine::resolveModel(const ModelRegistry& registry,
                      const std::string& name)
 {
-    if (registry != nullptr) {
-        std::shared_ptr<const ModelVersion> version =
-            registry->resolve(name);
-        if (!version)
-            return Status::invalidArgument(
-                name.empty()
-                    ? std::string("Engine: registry has no models")
-                    : "Engine: unknown model '" + name + "'");
-        return version;
-    }
-    if (name.empty() || name == fixed->name)
-        return fixed;
-    return Status::invalidArgument(
-        "Engine: unknown model '" + name +
-        "' (single-model engine serves '" + fixed->name + "')");
+    std::shared_ptr<const ModelVersion> version = registry.resolve(name);
+    if (!version)
+        return Status::invalidArgument(
+            name.empty() ? std::string("Engine: registry has no models")
+                         : "Engine: unknown model '" + name + "'");
+    return version;
 }
 
 Result<std::vector<Tensor>>
@@ -615,34 +531,6 @@ Engine::parseSource(const std::string& source)
     }
 }
 
-Status
-Engine::save(const std::string& path)
-{
-    if (registry_)
-        return Status::invalidArgument(
-            "Engine::save: this engine serves a ModelRegistry; save "
-            "through ModelRegistry::save(name, path)");
-    return version_->model->save(path, version_->name,
-                                 version_->sequence);
-}
-
-Status
-Engine::load(const std::string& path)
-{
-    if (registry_)
-        return Status::invalidArgument(
-            "Engine::load: this engine serves a ModelRegistry; "
-            "publish through ModelRegistry::load instead of mutating "
-            "weights in place");
-    Status s = version_->model->load(path);
-    if (s.isOk()) {
-        // Weights changed in place under the SAME namespace, so only
-        // this model's cached latents are stale.
-        cache_->clearNamespace(version_->id);
-    }
-    return s;
-}
-
 ComparativePredictor&
 Engine::model()
 {
@@ -656,8 +544,7 @@ Engine::model() const
     std::shared_ptr<const ModelVersion> version = modelVersion();
     if (!version)
         fatal("Engine::model: registry has no models");
-    // The reference stays valid while the version is registered (or
-    // for the engine's lifetime in classic mode).
+    // The reference stays valid while the version is registered.
     return *version->model;
 }
 
@@ -704,7 +591,10 @@ std::vector<ModelCacheStats>
 Engine::perModelCacheStats() const
 {
     std::vector<ModelCacheStats> out;
-    auto addRow = [&](const std::shared_ptr<const ModelVersion>& v) {
+    for (const std::string& name : registry_->names()) {
+        std::shared_ptr<const ModelVersion> v = registry_->resolve(name);
+        if (!v)
+            continue;
         ModelCacheStats row;
         row.name = v->name;
         row.versionId = v->id;
@@ -712,16 +602,6 @@ Engine::perModelCacheStats() const
         row.cache = cache_->namespaceStats(v->id);
         row.states = cache_->stateNamespaceStats(v->id);
         out.push_back(std::move(row));
-    };
-    if (registry_) {
-        for (const std::string& name : registry_->names()) {
-            std::shared_ptr<const ModelVersion> v =
-                registry_->resolve(name);
-            if (v)
-                addRow(v);
-        }
-    } else {
-        addRow(version_);
     }
     return out;
 }

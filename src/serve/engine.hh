@@ -9,22 +9,22 @@
  * pairs that reference them, and reports per-request failures through
  * Status/Result instead of exceptions.
  *
- * Since the ModelRegistry refactor the Engine no longer OWNS a
- * predictor: it resolves an immutable ModelVersion handle per request
- * batch — either a fixed version wrapped at construction (classic
- * single-model mode) or by name through a shared ModelRegistry
- * (multi-model mode, hot-swap safe: a batch keeps the snapshot it
- * resolved even while a new version is published mid-flight). Cache
- * keys are (model version id, structural digest), so versions and
- * models sharing one cache occupy isolated namespaces.
+ * Every Engine serves through a ModelRegistry, the one place a model
+ * gets its name and cache namespace: it resolves an immutable
+ * ModelVersion handle per request batch, by name, so a batch keeps
+ * the snapshot it resolved even while a new version is published
+ * mid-flight. A bare model is a private registry of one, published as
+ * "model" (sequence 1). Cache keys are (model version id, structural
+ * digest), and every id is process-unique, so versions and models
+ * sharing one cache occupy isolated namespaces.
  *
  * Determinism contract: every probability produced by the batch
  * endpoints is bitwise-identical to a per-pair encode+classify of
  * the same version's weights and invariant to the thread count —
  * each tree's encoding is an independent computation, and the
  * classifier head always runs on the calling thread in request
- * order. Per model, a registry-backed engine is bitwise-identical
- * to a dedicated single-model engine on the same weights.
+ * order. Per model, an engine serving many models is
+ * bitwise-identical to one serving only that model.
  */
 
 #ifndef CCSA_SERVE_ENGINE_HH
@@ -64,117 +64,120 @@ struct ModelCacheStats
     LruNamespaceStats states;
 };
 
+/**
+ * Engine construction options (Engine::Options), builder-style and
+ * subsuming EncoderConfig:
+ * `Engine::Options().withHiddenDim(64).withThreads(4)`.
+ */
+struct EngineOptions
+{
+    /** Architecture of the fresh model Engine(Options) builds. */
+    EncoderConfig encoder;
+    /** Weight-initialisation seed for fresh models. */
+    std::uint64_t seed = 1;
+    /** Maximum resident entries PER cache shard; aggregate
+     * capacity is cacheShards * cacheCapacity. */
+    std::size_t cacheCapacity = 4096;
+    /** Encoding-cache partitions (independently locked, keys
+     * routed by structural digest). Ignored when the Engine is
+     * handed a shared cache. */
+    std::size_t cacheShards = 1;
+    /** Storage precision of the PRIVATE encoding cache; fp16 or
+     * int8 quantizes latents on insert and dequantizes on hit
+     * (2-4x more trees resident at the same memory — see
+     * latent_codec.hh). Ignored when the Engine is handed a
+     * shared cache, which fixed its precision at construction. Miss results are served through the same
+     * quantize/dequantize roundtrip the cache stores, so hit and
+     * miss answers are bitwise-identical at any precision. */
+    LatentPrecision latentPrecision = LatentPrecision::kFp32;
+    /** Encoder worker threads; 0 = hardware, 1 = inline. */
+    int threads = 0;
+    /** Optional metrics plane (serve/metrics). Not owned; must
+     * outlive the engine. When set, every compareMany records
+     * its encode/score wall time into the
+     * ccsa_engine_phase_us{phase=...} windowed histograms. */
+    MetricsRegistry* metrics = nullptr;
+
+    EngineOptions& withEncoder(const EncoderConfig& cfg)
+    {
+        encoder = cfg;
+        return *this;
+    }
+
+    EngineOptions& withEncoderKind(EncoderKind kind)
+    {
+        encoder.kind = kind;
+        return *this;
+    }
+
+    EngineOptions& withEmbedDim(int dim)
+    {
+        encoder.embedDim = dim;
+        return *this;
+    }
+
+    EngineOptions& withHiddenDim(int dim)
+    {
+        encoder.hiddenDim = dim;
+        return *this;
+    }
+
+    EngineOptions& withLayers(int n)
+    {
+        encoder.layers = n;
+        return *this;
+    }
+
+    EngineOptions& withArch(nn::TreeArch arch)
+    {
+        encoder.arch = arch;
+        return *this;
+    }
+
+    EngineOptions& withSeed(std::uint64_t s)
+    {
+        seed = s;
+        return *this;
+    }
+
+    EngineOptions& withCacheCapacity(std::size_t n)
+    {
+        cacheCapacity = n;
+        return *this;
+    }
+
+    EngineOptions& withCacheShards(std::size_t n)
+    {
+        cacheShards = n == 0 ? 1 : n;
+        return *this;
+    }
+
+    EngineOptions& withThreads(int n)
+    {
+        threads = n;
+        return *this;
+    }
+
+    EngineOptions& withMetrics(MetricsRegistry* m)
+    {
+        metrics = m;
+        return *this;
+    }
+
+    EngineOptions& withLatentPrecision(LatentPrecision p)
+    {
+        latentPrecision = p;
+        return *this;
+    }
+};
+
 /** Batched, cached, thread-parallel serving facade. */
 class Engine
 {
   public:
-    /**
-     * Builder-style construction options subsuming EncoderConfig:
-     * `Engine::Options().withHiddenDim(64).withThreads(4)`.
-     */
-    struct Options
-    {
-        /** Model architecture (ignored when wrapping a model). */
-        EncoderConfig encoder;
-        /** Weight-initialisation seed for fresh models. */
-        std::uint64_t seed = 1;
-        /** Maximum resident entries PER cache shard; aggregate
-         * capacity is cacheShards * cacheCapacity. */
-        std::size_t cacheCapacity = 4096;
-        /** Encoding-cache partitions (independently locked, keys
-         * routed by structural digest). 1 = classic single cache;
-         * ignored when the Engine is handed an external shared
-         * cache. */
-        std::size_t cacheShards = 1;
-        /** Storage precision of the PRIVATE encoding cache; fp16 or
-         * int8 quantizes latents on insert and dequantizes on hit
-         * (2-4x more trees resident at the same memory — see
-         * latent_codec.hh). Ignored when the Engine is handed an
-         * external shared cache, which fixed its precision at
-         * construction. Miss results are served through the same
-         * quantize/dequantize roundtrip the cache stores, so hit and
-         * miss answers are bitwise-identical at any precision. */
-        LatentPrecision latentPrecision = LatentPrecision::kFp32;
-        /** Encoder worker threads; 0 = hardware, 1 = inline. */
-        int threads = 0;
-        /** Optional metrics plane (serve/metrics). Not owned; must
-         * outlive the engine. When set, every compareMany records
-         * its encode/score wall time into the
-         * ccsa_engine_phase_us{phase=...} windowed histograms. */
-        MetricsRegistry* metrics = nullptr;
-
-        Options& withEncoder(const EncoderConfig& cfg)
-        {
-            encoder = cfg;
-            return *this;
-        }
-
-        Options& withEncoderKind(EncoderKind kind)
-        {
-            encoder.kind = kind;
-            return *this;
-        }
-
-        Options& withEmbedDim(int dim)
-        {
-            encoder.embedDim = dim;
-            return *this;
-        }
-
-        Options& withHiddenDim(int dim)
-        {
-            encoder.hiddenDim = dim;
-            return *this;
-        }
-
-        Options& withLayers(int n)
-        {
-            encoder.layers = n;
-            return *this;
-        }
-
-        Options& withArch(nn::TreeArch arch)
-        {
-            encoder.arch = arch;
-            return *this;
-        }
-
-        Options& withSeed(std::uint64_t s)
-        {
-            seed = s;
-            return *this;
-        }
-
-        Options& withCacheCapacity(std::size_t n)
-        {
-            cacheCapacity = n;
-            return *this;
-        }
-
-        Options& withCacheShards(std::size_t n)
-        {
-            cacheShards = n == 0 ? 1 : n;
-            return *this;
-        }
-
-        Options& withThreads(int n)
-        {
-            threads = n;
-            return *this;
-        }
-
-        Options& withMetrics(MetricsRegistry* m)
-        {
-            metrics = m;
-            return *this;
-        }
-
-        Options& withLatentPrecision(LatentPrecision p)
-        {
-            latentPrecision = p;
-            return *this;
-        }
-    };
+    /** Construction options (declared at namespace scope as
+     * EngineOptions, so constructors can default them). */
+    using Options = EngineOptions;
 
     /** One comparison request; both trees must outlive the call. */
     struct PairRequest
@@ -219,74 +222,52 @@ class Engine
         std::uint64_t stateStoreEvictions = 0;
     };
 
-    /** Default-configured engine with a fresh (untrained) model. */
-    Engine();
+    /** Serve a fresh (untrained) model built per opts.encoder and
+     * opts.seed. */
+    explicit Engine(Options opts = {});
 
-    /** Build a fresh (untrained) model per opts.encoder/opts.seed. */
-    explicit Engine(Options opts);
-
-    /** Serve an existing (typically trained) predictor. */
-    explicit Engine(std::shared_ptr<ComparativePredictor> model);
-
-    /** Serve an existing predictor with explicit serving options. */
-    Engine(std::shared_ptr<ComparativePredictor> model, Options opts);
+    /** Serve an existing (typically trained) predictor, published as
+     * "model" (sequence 1) in a private registry of one. */
+    explicit Engine(std::shared_ptr<ComparativePredictor> model,
+                    Options opts = {});
 
     /**
-     * Serve an existing predictor through an EXTERNAL encoding
-     * cache, shared with other engines. This is the sharded-serving
-     * seam: every ShardedServer worker owns one of these engines and
-     * they all resolve latents through the same partitioned cache,
-     * so a tree encoded by any worker is visible to all of them while
-     * still living on exactly one cache shard. The cache MUST have
-     * been built namespace-aware (ShardedEncodingCache::makeShared);
-     * anything else is a FatalError — a digest-only shared cache
-     * would let two models serve each other's latents. Engines
-     * handed the SAME model object share its cache namespace (and
-     * therefore its latents); distinct models get isolated
-     * namespaces. opts.cacheCapacity / opts.cacheShards are ignored
-     * (the cache is already built).
-     */
-    Engine(std::shared_ptr<ComparativePredictor> model, Options opts,
-           std::shared_ptr<ShardedEncodingCache> cache);
-
-    /**
-     * Serve a pre-wrapped immutable version through an external
-     * namespace-aware cache — the seam for callers that manage
-     * versions themselves (ShardedServer wraps its model once and
-     * hands every worker the same version).
+     * Serve exactly `version` (its id, name and sequence) through a
+     * cache shared with other engines: latents this engine encodes
+     * land in that version's namespace, where every other engine
+     * serving the version reads them (e.g. to make trees resident in
+     * a ShardedServer shard's namespace).
      */
     Engine(std::shared_ptr<const ModelVersion> version, Options opts,
            std::shared_ptr<ShardedEncodingCache> cache);
 
     /**
-     * Multi-model mode: resolve models BY NAME through a shared
-     * registry, one handle per request batch. Hot-swap safe — see
-     * the file comment. Unnamed endpoints serve the registry's
-     * default model.
+     * Resolve models BY NAME through a shared registry, one handle
+     * per request batch. Hot-swap safe — see the file comment.
+     * Unnamed endpoints serve the registry's default model. A null
+     * `cache` gives the engine a private one built from opts. Any
+     * cache may be shared with other engines, because every key
+     * carries its version's process-unique id (opts.cacheCapacity,
+     * cacheShards and latentPrecision are then ignored).
      */
-    explicit Engine(std::shared_ptr<ModelRegistry> registry);
-    Engine(std::shared_ptr<ModelRegistry> registry, Options opts);
-    Engine(std::shared_ptr<ModelRegistry> registry, Options opts,
-           std::shared_ptr<ShardedEncodingCache> cache);
+    explicit Engine(std::shared_ptr<ModelRegistry> registry,
+                    Options opts = {},
+                    std::shared_ptr<ShardedEncodingCache> cache = nullptr);
 
     /**
      * Resolve a model name to the version snapshot a batch would
-     * serve right now. "" resolves the default model (the fixed
-     * version in classic mode). Unknown names are InvalidArgument.
+     * serve right now. "" resolves the default model. Unknown names
+     * are InvalidArgument.
      */
     Result<std::shared_ptr<const ModelVersion>>
     resolveModel(const std::string& name) const;
 
-    /** resolveModel over an explicit source: by name through
-     * `registry` when it is non-null, else to the one `fixed`
-     * version. The serving front end resolves at ADMISSION time
-     * through this (it needs no engine of its own), so a request
-     * admitted before a hot swap completes on the version it was
-     * admitted under. */
+    /** resolveModel through an explicit registry. The serving front
+     * end resolves at ADMISSION time through this (it needs no
+     * engine of its own), so a request admitted before a hot swap
+     * completes on the version it was admitted under. */
     static Result<std::shared_ptr<const ModelVersion>>
-    resolveModel(const ModelRegistry* registry,
-                 const std::shared_ptr<const ModelVersion>& fixed,
-                 const std::string& name);
+    resolveModel(const ModelRegistry& registry, const std::string& name);
 
     /**
      * Encode a batch of trees, one latent row vector per input, in
@@ -403,18 +384,8 @@ class Engine
     static Result<Ast> parseSource(const std::string& source);
 
     /**
-     * Persist / restore the default model's weights. Classic mode
-     * only: a registry-backed engine reports InvalidArgument — save
-     * and load through the registry, which stamps real manifests and
-     * publishes hot-swaps instead of mutating weights in place.
-     */
-    Status save(const std::string& path);
-    Status load(const std::string& path);
-
-    /**
-     * The default model (classic mode: the fixed version's
-     * predictor; registry mode: the current default version's).
-     * FatalError when a registry-backed engine has no models yet.
+     * The default model: the current default version's predictor.
+     * FatalError when the registry has no models.
      */
     ComparativePredictor& model();
     const ComparativePredictor& model() const;
@@ -422,12 +393,6 @@ class Engine
 
     /** Current default version snapshot (see resolveModel("")). */
     std::shared_ptr<const ModelVersion> modelVersion() const;
-
-    /** The registry, or nullptr for a classic engine. */
-    const std::shared_ptr<ModelRegistry>& registry() const
-    {
-        return registry_;
-    }
 
     /** The (possibly shared) partitioned encoding cache. */
     ShardedEncodingCache& cache() { return *cache_; }
@@ -441,15 +406,14 @@ class Engine
     Stats stats() const;
 
     /** Per-model cache-namespace counters for every CURRENTLY
-     * resolvable model (one row in classic mode; one per registered
-     * name in registry mode, sorted by name). Retired hot-swapped
-     * versions are not listed — their entries age out of the LRU. */
+     * resolvable model, one row per registered name, sorted by name.
+     * Retired hot-swapped versions are not listed — their entries
+     * age out of the LRU. */
     std::vector<ModelCacheStats> perModelCacheStats() const;
 
     /**
      * Drop all cached encodings (every namespace). Rarely needed
-     * since versions are immutable and namespaced; classic load()
-     * already invalidates just its own namespace.
+     * since versions are immutable and namespaced.
      */
     void invalidateCache();
 
@@ -468,16 +432,9 @@ class Engine
     encodeDistinctLatents(const ModelVersion& version,
                           const std::vector<const Ast*>& trees);
 
-    /** Shared ctor tail: validate + allocate the private cache when
-     * none was supplied. */
-    void init(std::shared_ptr<ShardedEncodingCache> cache,
-              bool externalCache);
-
     /** Fetch the phase instruments when opts_.metrics is set. */
     void initMetrics();
 
-    /** Fixed version (classic mode); null in registry mode. */
-    std::shared_ptr<const ModelVersion> version_;
     std::shared_ptr<ModelRegistry> registry_;
     Options opts_;
     ThreadPool pool_;

@@ -314,8 +314,7 @@ FrontEnd::enqueue(const SubmitOptions& submitOpts,
     // many slices it splits into) runs on this one snapshot, so a
     // hot swap can never straddle a request.
     Result<std::shared_ptr<const ModelVersion>> version =
-        Engine::resolveModel(backend_->registry.get(),
-                             backend_->fixedModel, submitOpts.model);
+        Engine::resolveModel(*backend_->registry, submitOpts.model);
     if (!version.isOk()) {
         counted(version.status());
         return true;

@@ -6,9 +6,9 @@
  * between a client's submit and a shard's engine call:
  *
  *  - submit validation, the admission charge, and admission-time
- *    model resolution: a request runs on the ModelVersion it
- *    resolved here however many slices it splits into, so a hot swap
- *    never straddles a request;
+ *    model resolution through the backend's ModelRegistry: a request
+ *    runs on the ModelVersion it resolved here however many slices
+ *    it splits into, so a hot swap never straddles a request;
  *  - split/join: a multi-pair request is broken into slices, and a
  *    join fans them back into one result in request order. Pairs
  *    that share a first tree stay in one slice. Over one shared
@@ -274,20 +274,21 @@ class ShardBackend
     /** True when each shard owns a request queue; false when the
      * shards share one. */
     const bool queuePerShard;
-    /** Admission resolves model names through this registry when it
-     * is set, else to the one fixed version. */
-    std::shared_ptr<ModelRegistry> registry;
-    std::shared_ptr<const ModelVersion> fixedModel;
+    /** Admission resolves model names through this registry; a
+     * server handed one bare model serves a registry of one. */
+    const std::shared_ptr<ModelRegistry> registry;
 
     ShardBackend(const ShardBackend&) = delete;
     ShardBackend& operator=(const ShardBackend&) = delete;
 
   protected:
     ShardBackend(std::string name, std::string label,
-                 bool queuePerShard)
+                 bool queuePerShard,
+                 std::shared_ptr<ModelRegistry> registry)
         : name(std::move(name)),
           label(std::move(label)),
-          queuePerShard(queuePerShard)
+          queuePerShard(queuePerShard),
+          registry(std::move(registry))
     {
     }
 };

@@ -202,20 +202,16 @@ class ProcessShardedServer::Workers final : public ShardBackend
 ProcessShardedServer::Workers::Workers(
     std::shared_ptr<ComparativePredictor> model, const Options& opts)
     : ShardBackend("ProcessShardedServer", "ipc",
-                   /*queuePerShard=*/true),
+                   /*queuePerShard=*/true,
+                   std::make_shared<ModelRegistry>()),
       opts_(normalized(opts)),
       workerBinary_(opts_.workerPath.empty() ? defaultWorkerBinary()
                                              : opts_.workerPath)
 {
-    // One ModelVersion tags every request (labels, admission-time
+    // A registry of one tags every request (labels, admission-time
     // resolution); the actual scoring model lives in the worker
     // processes, which load it from the checkpoint written below.
-    auto version = std::make_shared<ModelVersion>();
-    version->name = "model";
-    version->id = 1;
-    version->sequence = 1;
-    version->model = model;
-    fixedModel = std::move(version);
+    registry->publish("model", model);
 
     // Ship the model once: a v2 checkpoint every spawn loads.
     // Float32 checkpoints round-trip bitwise, so worker results are

@@ -65,10 +65,11 @@
  * per shard and the heartbeat latency histogram. Trace chains take
  * their encode and score boundaries at the RPC replies.
  *
- * Single-model by design: multi-model registry serving stays
- * in-process (ShardedServer); this server trades that flexibility
- * for fault isolation. Submit with any model name but "" or "model"
- * fails InvalidArgument.
+ * Single-model by design: the model is a registry of one, published
+ * as "model", and multi-model registry serving stays in-process
+ * (ShardedServer); this server trades that flexibility for fault
+ * isolation. Submit with any model name but "" or "model" fails
+ * InvalidArgument.
  */
 
 #ifndef CCSA_SERVE_IPC_PROCESS_SHARDED_SERVER_HH

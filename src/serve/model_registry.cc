@@ -5,6 +5,15 @@
 namespace ccsa
 {
 
+ModelRegistry::ModelRegistry(std::shared_ptr<const ModelVersion> version)
+{
+    if (!version || !version->model || version->id == 0 ||
+        version->name.empty())
+        fatal("ModelRegistry: not a published model version");
+    defaultName_ = version->name;
+    models_[version->name] = std::move(version);
+}
+
 std::shared_ptr<const ModelVersion>
 ModelRegistry::publish(const std::string& name,
                        std::shared_ptr<ComparativePredictor> model)
@@ -42,18 +51,13 @@ ModelRegistry::publishImpl(const std::string& name,
 Result<std::shared_ptr<const ModelVersion>>
 ModelRegistry::load(const std::string& path)
 {
-    std::optional<nn::CheckpointManifest> manifest;
+    std::string name;
     try {
-        manifest = nn::readCheckpointManifest(path);
+        name = nn::readCheckpointManifest(path).modelName;
     } catch (const FatalError& e) {
         return Status::ioError(e.what());
     }
-    if (!manifest)
-        return Status::invalidArgument(
-            "ModelRegistry::load: " + path +
-            " is a v1 checkpoint with no embedded name/config; use "
-            "the (name, path, EncoderConfig) overload");
-    return load(manifest->modelName, path);
+    return load(name, path);
 }
 
 Result<std::shared_ptr<const ModelVersion>>
@@ -68,26 +72,12 @@ ModelRegistry::load(const std::string& name, const std::string& path)
     // must not stamp its next save as version 1.
     std::uint64_t floor = 0;
     try {
-        auto manifest = nn::readCheckpointManifest(path);
-        if (manifest)
-            floor = manifest->version;
+        floor = nn::readCheckpointManifest(path).version;
     } catch (const FatalError&) {
         // fromCheckpoint already read it once; treat a race on the
         // file as "no floor" rather than failing the deploy.
     }
     return publishImpl(name, model.take(), floor);
-}
-
-Result<std::shared_ptr<const ModelVersion>>
-ModelRegistry::load(const std::string& name, const std::string& path,
-                    const EncoderConfig& cfg)
-{
-    auto model =
-        std::make_shared<ComparativePredictor>(cfg, /*seed=*/1);
-    Status loaded = model->load(path);
-    if (!loaded.isOk())
-        return loaded;
-    return publish(name, std::move(model));
 }
 
 std::shared_ptr<const ModelVersion>

@@ -6,7 +6,9 @@
  * ranking service. The registry is the seam that makes that real:
  * it maps a model NAME to an atomically-swappable, immutable
  * ModelVersion, and every serving layer (Engine, the serving front
- * end behind ShardedServer) resolves names through it.
+ * end behind both servers) resolves names through it. It is also the
+ * only place a model gets its name and cache namespace: a server or
+ * engine handed one bare model serves a private registry of one.
  *
  * Hot-swap is RCU-style: publish()/load() build the new version off
  * to the side, then swap the name's shared_ptr under the registry
@@ -46,12 +48,12 @@ namespace ccsa
  */
 struct ModelVersion
 {
-    /** Registry name ("model" for registry-less engines). */
+    /** Registry name ("model" for a bare model served alone). */
     std::string name;
     /** Process-unique cache-namespace id (allocateModelNamespace). */
     std::uint64_t id = 0;
     /** Per-name publish sequence, monotonically increasing from 1 —
-     * the "version" a v2 checkpoint manifest records. */
+     * the "version" a checkpoint manifest records. */
     std::uint64_t sequence = 0;
     std::shared_ptr<ComparativePredictor> model;
 };
@@ -61,6 +63,12 @@ class ModelRegistry
 {
   public:
     ModelRegistry() = default;
+
+    /** A registry of one that serves exactly `version` (same id,
+     * name and sequence) as its default model — how an engine joins
+     * a namespace another registry published. FatalError unless the
+     * version was published (non-null model, non-zero id, a name). */
+    explicit ModelRegistry(std::shared_ptr<const ModelVersion> version);
 
     ModelRegistry(const ModelRegistry&) = delete;
     ModelRegistry& operator=(const ModelRegistry&) = delete;
@@ -76,25 +84,16 @@ class ModelRegistry
             std::shared_ptr<ComparativePredictor> model);
 
     /**
-     * Load a self-describing v2 checkpoint and publish it under the
+     * Load a self-describing checkpoint and publish it under the
      * manifest's embedded model name. The model architecture comes
      * from the manifest — this is the zero-config deployment path.
      */
     Result<std::shared_ptr<const ModelVersion>>
     load(const std::string& path);
 
-    /** Load a v2 checkpoint but publish under an explicit name. */
+    /** Load a checkpoint but publish under an explicit name. */
     Result<std::shared_ptr<const ModelVersion>>
     load(const std::string& name, const std::string& path);
-
-    /**
-     * Load a checkpoint whose architecture the caller supplies —
-     * the only way to deploy a LEGACY v1 file (no manifest). Also
-     * accepts v2 files (the manifest config must then match cfg).
-     */
-    Result<std::shared_ptr<const ModelVersion>>
-    load(const std::string& name, const std::string& path,
-         const EncoderConfig& cfg);
 
     /**
      * Resolve a name to its current version. The empty name resolves
@@ -105,7 +104,7 @@ class ModelRegistry
     resolve(const std::string& name) const;
 
     /**
-     * Save a registered model as a self-describing v2 checkpoint;
+     * Save a registered model as a self-describing checkpoint;
      * the manifest records the name and the current publish
      * sequence.
      */

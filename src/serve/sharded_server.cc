@@ -6,42 +6,42 @@
 namespace ccsa
 {
 
+namespace
+{
+
+/** A bare model served alone: a registry of one, published as
+ * "model". */
+std::shared_ptr<ModelRegistry>
+registryOf(std::shared_ptr<ComparativePredictor> model)
+{
+    auto registry = std::make_shared<ModelRegistry>();
+    registry->publish("model", std::move(model));
+    return registry;
+}
+
+} // namespace
+
 /** The in-process backend: one Engine per shard over one shared
  * partitioned cache, so every shard can serve any slice from the one
  * shared request queue. */
 class ShardedServer::Engines final : public ShardBackend
 {
   public:
-    /** Shards serving `models` by name when it is set, else the one
-     * `model`. */
+    /** Shards serving `models` by name. Every shard engine resolves
+     * the same versions, so they share each version's cache
+     * namespace: a latent encoded by any shard serves all of them. */
     Engines(std::shared_ptr<ModelRegistry> models,
-            std::shared_ptr<ComparativePredictor> model,
             Engine::Options engineOpts, const Options& opts)
         : ShardBackend("ShardedServer", "sharded",
-                       /*queuePerShard=*/false),
-          cache(ShardedEncodingCache::makeShared(
+                       /*queuePerShard=*/false, std::move(models)),
+          cache(std::make_shared<ShardedEncodingCache>(
               std::max<std::size_t>(opts.numShards, 1),
               engineOpts.cacheCapacity, engineOpts.latentPrecision))
     {
         engineOpts.threads = opts.threadsPerShard;
-        registry = std::move(models);
-        if (!registry) {
-            // Wrap the model ONCE: every shard engine shares this
-            // version and therefore its cache namespace — a latent
-            // encoded by any shard serves all of them.
-            auto version = std::make_shared<ModelVersion>();
-            version->name = "model";
-            version->id = cache->namespaceFor(model);
-            version->sequence = 1;
-            version->model = std::move(model);
-            fixedModel = std::move(version);
-        }
         for (std::size_t s = 0; s < cache->numShards(); ++s)
             engines.push_back(
-                registry ? std::make_unique<Engine>(registry, engineOpts,
-                                                    cache)
-                         : std::make_unique<Engine>(fixedModel,
-                                                    engineOpts, cache));
+                std::make_unique<Engine>(registry, engineOpts, cache));
     }
 
     Status
@@ -109,9 +109,7 @@ ShardedServer::ShardedServer(Engine::Options engineOpts, Options opts)
 ShardedServer::ShardedServer(
     std::shared_ptr<ComparativePredictor> model,
     Engine::Options engineOpts, Options opts)
-    : ShardedServer(std::make_unique<Engines>(nullptr, std::move(model),
-                                              std::move(engineOpts),
-                                              opts),
+    : ShardedServer(registryOf(std::move(model)), std::move(engineOpts),
                     opts)
 {
 }
@@ -119,7 +117,6 @@ ShardedServer::ShardedServer(
 ShardedServer::ShardedServer(std::shared_ptr<ModelRegistry> registry,
                              Engine::Options engineOpts, Options opts)
     : ShardedServer(std::make_unique<Engines>(std::move(registry),
-                                              nullptr,
                                               std::move(engineOpts),
                                               opts),
                     opts)

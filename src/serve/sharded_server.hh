@@ -34,9 +34,11 @@
  * The per-shard engine rows report each shard's PARTITION of the
  * shared cache, so they sum to the cache's own counters.
  *
- * Multi-model serving: construct over a ModelRegistry and submit
- * with SubmitOptions().withModel(name). Names resolve to immutable
- * ModelVersion snapshots AT ADMISSION (a request admitted before a
+ * Models: every shard resolves names through one ModelRegistry (a
+ * bare model is served as a registry of one, published as
+ * "model"); submit with SubmitOptions().withModel(name). Names
+ * resolve to immutable ModelVersion snapshots AT ADMISSION (a
+ * request admitted before a
  * hot swap completes on the version it was admitted under); each
  * shard executes one engine call per (model version, pairs) group of
  * its coalesced batch; and the shared cache keys latents by
@@ -98,9 +100,9 @@ class ShardedServer : public FrontEnd
     ShardedServer(Engine::Options engineOpts, Options opts);
 
     /**
-     * Serve an existing (typically trained) predictor: every shard
-     * engine shares the SAME model object (wrapped once in one
-     * ModelVersion, so they also share its cache namespace) and all
+     * Serve an existing (typically trained) predictor as a registry
+     * of one, published as "model": every shard engine serves that
+     * one version (so they also share its cache namespace) and all
      * shards answer with identical weights. engineOpts supplies the
      * per-shard serving knobs (cacheCapacity is PER PARTITION;
      * threads is overridden by opts.threadsPerShard).
@@ -110,9 +112,8 @@ class ShardedServer : public FrontEnd
 
     /**
      * Multi-model serving: every shard engine resolves model names
-     * through the same registry, over one shared namespace-aware
-     * cache. Hot-swap by publishing to the registry while traffic
-     * flows.
+     * through the same registry, over one shared cache. Hot-swap by
+     * publishing to the registry while traffic flows.
      */
     ShardedServer(std::shared_ptr<ModelRegistry> registry,
                   Engine::Options engineOpts, Options opts);

@@ -211,12 +211,6 @@ TEST(EncodingCache, ModelNamespacesAreIsolated)
     EXPECT_EQ(ns2.residents, 1u);
     EXPECT_EQ(cache.stats().hits, ns1.hits + ns2.hits);
     EXPECT_EQ(cache.stats().misses, ns1.misses + ns2.misses);
-
-    // clearNamespace drops exactly one tenant.
-    cache.clearNamespace(1);
-    EXPECT_FALSE(cache.lookup(EncodingKey{1, d}));
-    EXPECT_TRUE(cache.lookup(EncodingKey{2, d}));
-    EXPECT_EQ(cache.namespaceStats(1).residents, 0u);
 }
 
 TEST(EncodingCache, EvictionsAttributeToTheEvictedNamespace)
@@ -680,40 +674,6 @@ TEST(Engine, CompareSourcesReportsParseFailures)
     EXPECT_LE(good.value(), 1.0);
 }
 
-TEST(Engine, SaveLoadRoundTripsThroughStatus)
-{
-    Engine engine(tinyOptions());
-    Ast a = tinyProgram(1);
-    Ast b = tinyProgram(2);
-    double before = engine.compare(a, b).value();
-
-    std::string path = "ccsa_engine_roundtrip.bin";
-    ASSERT_TRUE(engine.save(path).isOk());
-
-    Engine other(tinyOptions().withSeed(999));
-    ASSERT_TRUE(other.load(path).isOk());
-    EXPECT_NEAR(other.compare(a, b).value(), before, 1e-9);
-    std::remove(path.c_str());
-
-    EXPECT_FALSE(engine.save("/nonexistent-ccsa-dir/x.bin").isOk());
-    EXPECT_FALSE(engine.load("/nonexistent-ccsa-dir/x.bin").isOk());
-}
-
-TEST(Engine, LoadInvalidatesStaleCache)
-{
-    Engine engine(tinyOptions());
-    Ast a = tinyProgram(2);
-    ASSERT_TRUE(engine.encodeBatch({&a}).isOk());
-    EXPECT_EQ(engine.stats().cacheSize, 1u);
-
-    Engine donor(tinyOptions().withSeed(123));
-    std::string path = "ccsa_engine_invalidate.bin";
-    ASSERT_TRUE(donor.save(path).isOk());
-    ASSERT_TRUE(engine.load(path).isOk());
-    EXPECT_EQ(engine.stats().cacheSize, 0u);
-    std::remove(path.c_str());
-}
-
 TEST(Engine, EvalMetricsAgreeWithPerPairOracle)
 {
     // scorePairs(Engine&) must reproduce the per-pair oracle
@@ -988,8 +948,8 @@ TEST(LatentCodec, Int8QuantizesPerRowSymmetricAndZeroRowsExactly)
 
 TEST(ShardedEncodingCache, PropagatesPrecisionToEveryShard)
 {
-    auto cache =
-        ShardedEncodingCache::makeShared(4, 8, LatentPrecision::kFp16);
+    auto cache = std::make_shared<ShardedEncodingCache>(
+        4, 8, LatentPrecision::kFp16);
     EXPECT_EQ(cache->precision(), LatentPrecision::kFp16);
 
     // A value with no exact half representation comes back on the
@@ -1070,21 +1030,6 @@ TEST(Engine, Int8LatentStoreHoldsPairwiseAccuracyWithinHalfPercent)
 
 // ----------------------------- multi-model cache safety (ISSUE 5)
 
-TEST(Engine, ExternalCacheMustBeNamespaceAware)
-{
-    // A plain ShardedEncodingCache has no namespace allocator: two
-    // engines attaching different models to it used to cross-read
-    // latents. The ctor now refuses it outright.
-    auto model = std::make_shared<ComparativePredictor>(
-        tinyOptions().encoder, 7);
-    auto plain = std::make_shared<ShardedEncodingCache>(2, 16);
-    EXPECT_THROW(Engine(model, tinyOptions(), plain), FatalError);
-
-    auto aware = ShardedEncodingCache::makeShared(2, 16);
-    Engine ok(model, tinyOptions(), aware); // namespace-aware: fine
-    EXPECT_TRUE(ok.compare(tinyProgram(1), tinyProgram(2)).isOk());
-}
-
 TEST(Engine, TwoModelsOnOneSharedCacheNeverCrossRead)
 {
     // Regression for the latent-collision hazard: two DIFFERENT
@@ -1102,9 +1047,12 @@ TEST(Engine, TwoModelsOnOneSharedCacheNeverCrossRead)
     double soloB = Engine(modelB, tinyOptions()).compare(a, b).value();
     ASSERT_NE(soloA, soloB); // different weights, different answers
 
-    auto cache = ShardedEncodingCache::makeShared(2, 64);
-    Engine engineA(modelA, tinyOptions(), cache);
-    Engine engineB(modelB, tinyOptions(), cache);
+    // Each engine serves one published version through the shared
+    // cache; the versions' ids are their namespaces.
+    auto cache = std::make_shared<ShardedEncodingCache>(2, 64);
+    ModelRegistry models;
+    Engine engineA(models.publish("a", modelA), tinyOptions(), cache);
+    Engine engineB(models.publish("b", modelB), tinyOptions(), cache);
 
     // Interleave so each engine's second read hits entries the OTHER
     // model wrote in between — the old digest-only keying would have
@@ -1134,9 +1082,11 @@ TEST(Engine, SameModelOnOneSharedCacheSharesItsNamespace)
     // latents (one namespace), or the shared cache loses its point.
     auto model = std::make_shared<ComparativePredictor>(
         tinyOptions().encoder, 7);
-    auto cache = ShardedEncodingCache::makeShared(2, 64);
-    Engine e1(model, tinyOptions(), cache);
-    Engine e2(model, tinyOptions(), cache);
+    auto cache = std::make_shared<ShardedEncodingCache>(2, 64);
+    auto registry = std::make_shared<ModelRegistry>();
+    registry->publish("model", model);
+    Engine e1(registry, tinyOptions(), cache);
+    Engine e2(registry, tinyOptions(), cache);
 
     Ast a = tinyProgram(2);
     Ast b = tinyProgram(5);

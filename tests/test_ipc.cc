@@ -676,6 +676,25 @@ TEST(ProcessShardedServer, SplitJoinAndRankParity)
     }
 }
 
+TEST(ProcessShardedServer, ServesOneModelNamedModelAndRefusesOthers)
+{
+    ProcessShardedServer server(tinyModel(), ipcOptions(1));
+    Ast a = tinyProgram(1);
+    Ast b = tinyProgram(3);
+    auto named =
+        server.submitCompare(SubmitOptions().withModel("model"), a, b)
+            .get();
+    ASSERT_TRUE(named.isOk()) << named.status().toString();
+    auto unknown =
+        server.submitCompare(SubmitOptions().withModel("nope"), a, b)
+            .get();
+    ASSERT_FALSE(unknown.isOk());
+    EXPECT_EQ(unknown.status().code(), StatusCode::InvalidArgument);
+    // The caches live in the worker processes, so the backend lists
+    // no per-model cache rows.
+    EXPECT_TRUE(server.stats().aggregate.models.empty());
+}
+
 TEST(ProcessShardedServer, TracedSlicesLeaveCompleteChains)
 {
     std::vector<Ast> trees;

@@ -6,6 +6,10 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+
+#include <sys/resource.h>
 
 #include <gtest/gtest.h>
 
@@ -13,6 +17,7 @@
 #include "frontend/parser.hh"
 #include "model/trainer.hh"
 #include "oracle.hh"
+#include "serve/model_registry.hh"
 
 namespace ccsa
 {
@@ -165,6 +170,170 @@ TEST(Predictor, LoadFromMissingPathReportsStatus)
     Status s = model.load("/nonexistent-ccsa-dir/model.bin");
     EXPECT_FALSE(s.isOk());
     EXPECT_EQ(s.code(), StatusCode::IoError);
+}
+
+// ------------------------------------------ corrupt checkpoint files
+
+/** A checkpoint's bytes, written field by field as the format lays
+ * them out (native byte order, like the writer). */
+struct CheckpointBytes
+{
+    std::string bytes;
+
+    template <typename T>
+    CheckpointBytes&
+    raw(T v)
+    {
+        bytes.append(reinterpret_cast<const char*>(&v), sizeof(T));
+        return *this;
+    }
+
+    CheckpointBytes&
+    str(const std::string& s)
+    {
+        raw(static_cast<std::uint32_t>(s.size()));
+        bytes += s;
+        return *this;
+    }
+
+    /** `magic`, `version`, then a manifest that describes `cfg`
+     * under the name "model", version 1. */
+    static CheckpointBytes
+    header(const std::string& magic, std::uint32_t version,
+           const EncoderConfig& cfg)
+    {
+        CheckpointBytes b;
+        b.bytes = magic;
+        b.raw(version).str("model").raw(std::uint64_t{1});
+        nn::CheckpointManifest m =
+            ComparativePredictor::manifestFor(cfg, "model", 1);
+        b.raw(m.encoderKind).raw(m.embedDim).raw(m.hiddenDim);
+        b.raw(m.layers).raw(m.arch);
+        return b;
+    }
+
+    /** One parameter entry's name and shape, with no payload. */
+    CheckpointBytes&
+    shape(std::int32_t rows, std::int32_t cols)
+    {
+        raw(std::uint32_t{1}).str("w");
+        return raw(rows).raw(cols);
+    }
+};
+
+EncoderConfig
+smallConfig()
+{
+    EncoderConfig cfg;
+    cfg.embedDim = 4;
+    cfg.hiddenDim = 4;
+    return cfg;
+}
+
+void
+writeFile(const std::string& path, const std::string& bytes)
+{
+    std::ofstream f(path, std::ios::binary | std::ios::trunc);
+    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/** What each checkpoint loader answers for `path`: fromCheckpoint,
+ * ComparativePredictor::load into a model of the manifest's config,
+ * and ModelRegistry::load. */
+std::vector<Status>
+loadEveryWay(const std::string& path)
+{
+    std::vector<Status> out;
+    out.push_back(ComparativePredictor::fromCheckpoint(path).status());
+    ComparativePredictor model(smallConfig(), 1);
+    out.push_back(model.load(path));
+    ModelRegistry registry;
+    out.push_back(registry.load(path).status());
+    return out;
+}
+
+/** Peak resident set of this process so far, in KB. */
+long
+peakRssKb()
+{
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return usage.ru_maxrss;
+}
+
+TEST(Checkpoint, CorruptFilesComeBackAsStatusFromEveryLoader)
+{
+    const EncoderConfig cfg = smallConfig();
+    const std::string v2 = "CCSA";
+    struct Case
+    {
+        const char* name;
+        std::string bytes;
+    };
+    std::vector<Case> cases = {
+        {"2^20 x 64 shape, no payload",
+         CheckpointBytes::header(v2, 2, cfg).shape(1 << 20, 64).bytes},
+        {"2^20 x 2^20 shape, no payload",
+         CheckpointBytes::header(v2, 2, cfg)
+             .shape(1 << 20, 1 << 20)
+             .bytes},
+        {"bad magic",
+         CheckpointBytes::header("CCSB", 2, cfg).shape(1, 1).bytes},
+        {"version 3", CheckpointBytes::header(v2, 3, cfg).shape(1, 1).bytes},
+        {"negative dimension",
+         CheckpointBytes::header(v2, 2, cfg).shape(-1, 4).bytes},
+    };
+    // The two oversized shapes are 62-byte files whose headers ask
+    // for a 256 MB and a 4 TB payload.
+    ASSERT_EQ(cases[0].bytes.size(), 62u);
+    ASSERT_EQ(cases[1].bytes.size(), 62u);
+
+    std::string path = (std::filesystem::temp_directory_path() /
+                        "ccsa_corrupt_checkpoint.bin")
+                           .string();
+    for (const Case& c : cases) {
+        writeFile(path, c.bytes);
+        long peakBefore = peakRssKb();
+        std::vector<Status> answers = loadEveryWay(path);
+        for (std::size_t k = 0; k < answers.size(); ++k)
+            EXPECT_FALSE(answers[k].isOk()) << c.name << ", loader " << k;
+        // Nothing is sized from a shape the file cannot hold.
+        EXPECT_LT(peakRssKb() - peakBefore, 64 * 1024) << c.name;
+    }
+    for (int k = 0; k < 2; ++k) {
+        writeFile(path, cases[k].bytes);
+        for (const Status& s : loadEveryWay(path))
+            EXPECT_NE(s.message().find("exceeds the bytes left"),
+                      std::string::npos)
+                << cases[k].name << ": " << s.message();
+    }
+    std::remove(path.c_str());
+}
+
+TEST(Checkpoint, EveryTruncationComesBackAsStatusFromEveryLoader)
+{
+    std::string path = (std::filesystem::temp_directory_path() /
+                        "ccsa_truncated_checkpoint.bin")
+                           .string();
+    ASSERT_TRUE(ComparativePredictor(smallConfig(), 3).save(path).isOk());
+    std::string full;
+    {
+        std::ifstream f(path, std::ios::binary);
+        full.assign(std::istreambuf_iterator<char>(f),
+                    std::istreambuf_iterator<char>());
+    }
+    for (const Status& s : loadEveryWay(path))
+        ASSERT_TRUE(s.isOk()) << s.message();
+
+    for (std::size_t n = 0; n < full.size(); ++n) {
+        writeFile(path, full.substr(0, n));
+        std::vector<Status> answers = loadEveryWay(path);
+        for (std::size_t k = 0; k < answers.size(); ++k)
+            ASSERT_FALSE(answers[k].isOk())
+                << "truncated to " << n << " of " << full.size()
+                << " bytes, loader " << k;
+    }
+    std::remove(path.c_str());
 }
 
 TEST(Trainer, RejectsEmptyPairs)

@@ -1,7 +1,7 @@
 /**
  * @file
- * The ISSUE-5 harness for multi-model serving: self-describing v2
- * checkpoints (manifest roundtrip, v1 backward compatibility),
+ * The harness for multi-model serving: self-describing
+ * checkpoints (manifest roundtrip, refusal of the old v1 layout),
  * ModelRegistry publish/resolve/hot-swap semantics, registry-backed
  * Engine and ShardedServer bitwise parity with dedicated
  * single-model engines per model at 1/2/4/8 shards, the
@@ -16,6 +16,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <future>
 #include <thread>
 #include <vector>
@@ -80,12 +81,10 @@ TEST(CheckpointManifest, SaveEmbedsAndReadBackRoundTrips)
     std::string path = tempPath("ccsa_manifest_roundtrip.bin");
     ASSERT_TRUE(model.save(path, "family-g", 42).isOk());
 
-    auto manifest = nn::readCheckpointManifest(path);
-    ASSERT_TRUE(manifest.has_value());
-    EXPECT_EQ(manifest->modelName, "family-g");
-    EXPECT_EQ(manifest->version, 42u);
-    EXPECT_EQ(ComparativePredictor::configFromManifest(*manifest),
-              cfg);
+    nn::CheckpointManifest manifest = nn::readCheckpointManifest(path);
+    EXPECT_EQ(manifest.modelName, "family-g");
+    EXPECT_EQ(manifest.version, 42u);
+    EXPECT_EQ(ComparativePredictor::configFromManifest(manifest), cfg);
     std::remove(path.c_str());
 }
 
@@ -111,29 +110,39 @@ TEST(CheckpointManifest, FromCheckpointRebuildsTheModel)
     std::remove(path.c_str());
 }
 
-TEST(CheckpointManifest, V1FilesStillLoadButAreNotSelfDescribing)
+TEST(CheckpointManifest, V1FilesAreRefusedByEveryLoader)
 {
+    // The manifest-less version-1 layout, written by hand: magic,
+    // version 1, then the parameters straight away.
     ComparativePredictor donor(tinyConfig(), 11);
-    std::string path = tempPath("ccsa_v1_compat.bin");
-    nn::saveParametersV1(path, donor.parameters());
+    std::string path = tempPath("ccsa_v1_refused.bin");
+    {
+        std::ofstream f(path, std::ios::binary);
+        auto raw = [&](auto v) {
+            f.write(reinterpret_cast<const char*>(&v), sizeof(v));
+        };
+        f.write("CCSA", 4);
+        raw(std::uint32_t{1});
+        raw(static_cast<std::uint32_t>(donor.parameters().size()));
+        for (const nn::Parameter* p : donor.parameters()) {
+            const Tensor& t = p->var.value();
+            raw(static_cast<std::uint32_t>(p->name.size()));
+            f.write(p->name.data(),
+                    static_cast<std::streamsize>(p->name.size()));
+            raw(static_cast<std::int32_t>(t.rows()));
+            raw(static_cast<std::int32_t>(t.cols()));
+            f.write(reinterpret_cast<const char*>(t.data()),
+                    static_cast<std::streamsize>(t.size() *
+                                                 sizeof(float)));
+        }
+    }
 
-    // No manifest...
-    EXPECT_FALSE(nn::readCheckpointManifest(path).has_value());
-    // ...so self-describing reconstruction must refuse...
-    auto rebuilt = ComparativePredictor::fromCheckpoint(path);
-    ASSERT_FALSE(rebuilt.isOk());
-    EXPECT_EQ(rebuilt.status().code(), StatusCode::InvalidArgument);
-    // ...but a caller who knows the config still loads the weights.
+    EXPECT_FALSE(ComparativePredictor::fromCheckpoint(path).isOk());
     ComparativePredictor other(tinyConfig(), 999);
-    ASSERT_TRUE(other.load(path).isOk());
-    Ast a = tinyProgram(1), b = tinyProgram(2);
-    Engine lhs(std::shared_ptr<ComparativePredictor>(
-                   &donor, [](ComparativePredictor*) {}),
-               tinyOptions());
-    Engine rhs(std::shared_ptr<ComparativePredictor>(
-                   &other, [](ComparativePredictor*) {}),
-               tinyOptions());
-    EXPECT_EQ(rhs.compare(a, b).value(), lhs.compare(a, b).value());
+    EXPECT_FALSE(other.load(path).isOk());
+    ModelRegistry registry;
+    EXPECT_FALSE(registry.load(path).isOk());
+    EXPECT_EQ(registry.size(), 0u);
     std::remove(path.c_str());
 }
 
@@ -223,10 +232,9 @@ TEST(ModelRegistry, SaveAndLoadRoundTripThroughManifests)
 
     std::string path = tempPath("ccsa_registry_roundtrip.bin");
     ASSERT_TRUE(registry.save("family-x", path).isOk());
-    auto manifest = nn::readCheckpointManifest(path);
-    ASSERT_TRUE(manifest.has_value());
-    EXPECT_EQ(manifest->modelName, "family-x");
-    EXPECT_EQ(manifest->version, 2u); // the publish sequence
+    nn::CheckpointManifest manifest = nn::readCheckpointManifest(path);
+    EXPECT_EQ(manifest.modelName, "family-x");
+    EXPECT_EQ(manifest.version, 2u); // the publish sequence
 
     // A second registry deploys it with ZERO out-of-band config —
     // the name comes from the manifest, and the publish sequence
@@ -251,25 +259,6 @@ TEST(ModelRegistry, SaveAndLoadRoundTripThroughManifests)
 
     // Unknown names are errors, not crashes.
     EXPECT_FALSE(registry.save("nope", path).isOk());
-    std::remove(path.c_str());
-}
-
-TEST(ModelRegistry, LoadsV1CheckpointsWithExplicitConfig)
-{
-    ComparativePredictor donor(tinyConfig(), 11);
-    std::string path = tempPath("ccsa_registry_v1.bin");
-    nn::saveParametersV1(path, donor.parameters());
-
-    ModelRegistry registry;
-    // Self-describing path refuses a v1 file...
-    auto bare = registry.load(path);
-    ASSERT_FALSE(bare.isOk());
-    EXPECT_EQ(bare.status().code(), StatusCode::InvalidArgument);
-    // ...the explicit-config overload deploys it.
-    auto loaded = registry.load("legacy", path, tinyConfig());
-    ASSERT_TRUE(loaded.isOk());
-    EXPECT_EQ(loaded.value()->name, "legacy");
-    EXPECT_EQ(registry.resolve("legacy"), loaded.value());
     std::remove(path.c_str());
 }
 
@@ -331,12 +320,8 @@ TEST(Engine, RegistryModeMatchesDedicatedEnginesPerModelBitwise)
     EXPECT_EQ(rows[0].cache.residents, trees.size());
     EXPECT_EQ(rows[1].cache.residents, trees.size());
 
-    // Unknown names and registry-mode save/load fail cleanly.
+    // Unknown names fail cleanly.
     EXPECT_EQ(multi.compareMany("nope", pairs).status().code(),
-              StatusCode::InvalidArgument);
-    EXPECT_EQ(multi.save("x.bin").code(),
-              StatusCode::InvalidArgument);
-    EXPECT_EQ(multi.load("x.bin").code(),
               StatusCode::InvalidArgument);
 }
 

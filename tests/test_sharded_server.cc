@@ -837,5 +837,67 @@ TEST(ShardedServer, ServesTrainedSharedModelAcrossAllShards)
     EXPECT_EQ(got.value(), expected);
 }
 
+TEST(ShardedServer, ShardVersionEngineEncodesIntoTheShardNamespace)
+{
+    // An engine built on a shard's own version and shared cache (how
+    // a resident pool is primed outside the request path) serves
+    // exactly that version, so the trees it encodes are then served
+    // by the shards without a single new cache miss.
+    ShardedServer server(tinyOptions(),
+                         ShardedServer::Options().withNumShards(2));
+    Engine& shard = server.shardEngine(0);
+    Engine primer(shard.modelVersion(), Engine::Options().withThreads(1),
+                  shard.sharedCache());
+    std::shared_ptr<const ModelVersion> served = shard.modelVersion();
+    EXPECT_EQ(primer.modelVersion()->id, served->id);
+    EXPECT_EQ(primer.modelVersion()->name, served->name);
+    EXPECT_EQ(primer.modelVersion()->sequence, served->sequence);
+
+    std::vector<Ast> trees;
+    for (int i = 1; i <= 5; ++i)
+        trees.push_back(tinyProgram(i));
+    std::vector<const Ast*> refs;
+    std::vector<Engine::PairRequest> pairs;
+    for (const Ast& t : trees)
+        refs.push_back(&t);
+    for (std::size_t i = 0; i + 1 < trees.size(); ++i)
+        pairs.push_back({&trees[i], &trees[i + 1]});
+    ASSERT_TRUE(primer.encodeBatch(refs).isOk());
+
+    std::uint64_t misses = server.cache().stats().misses;
+    ASSERT_TRUE(shard.compareMany(pairs).isOk());
+    ASSERT_TRUE(server.submitCompareMany(pairs).get().isOk());
+    EXPECT_EQ(server.cache().stats().misses, misses);
+    EXPECT_EQ(server.stats().aggregate.engine.treesEncoded, 0u);
+}
+
+TEST(ShardedServer, FixedModelIsARegistryOfOneNamedModel)
+{
+    ShardedServer server(tinyOptions(),
+                         ShardedServer::Options().withNumShards(2));
+    Ast a = tinyProgram(1);
+    Ast b = tinyProgram(3);
+    auto unnamed = server.submitCompare(a, b).get();
+    auto named =
+        server.submitCompare(SubmitOptions().withModel("model"), a, b)
+            .get();
+    ASSERT_TRUE(unnamed.isOk());
+    ASSERT_TRUE(named.isOk());
+    EXPECT_EQ(named.value(), unnamed.value());
+    auto unknown =
+        server.submitCompare(SubmitOptions().withModel("nope"), a, b)
+            .get();
+    ASSERT_FALSE(unknown.isOk());
+    EXPECT_EQ(unknown.status().code(), StatusCode::InvalidArgument);
+
+    std::vector<ModelCacheStats> models = server.stats().aggregate.models;
+    ASSERT_EQ(models.size(), 1u);
+    EXPECT_EQ(models[0].name, "model");
+    EXPECT_EQ(models[0].sequence, 1u);
+    EXPECT_EQ(models[0].versionId,
+              server.shardEngine(0).modelVersion()->id);
+    EXPECT_EQ(models[0].cache.residents, 2u);
+}
+
 } // namespace
 } // namespace ccsa

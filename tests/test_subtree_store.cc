@@ -360,7 +360,7 @@ TEST(HashConsedEncode, NamespacesIsolateModelsAndHotSwaps)
     // A hot swap mints a fresh namespace: the new version recomputes.
     auto registry = std::make_shared<ModelRegistry>();
     registry->publish("m", v1);
-    auto shared = ShardedEncodingCache::makeShared(2, 4096);
+    auto shared = std::make_shared<ShardedEncodingCache>(2, 4096);
     Engine engine(registry, Engine::Options().withThreads(1), shared);
     ASSERT_TRUE(engine.encodeBatch({&parent}).isOk());
     registry->publish("m", v2);
@@ -597,9 +597,11 @@ TEST(HashConsedEncode, TwoEnginesShareOneStore)
     for (const Ast& t : trees)
         want.push_back(reference.encodeBatch({&t}).value()[0]);
 
-    auto cache = ShardedEncodingCache::makeShared(2, 64);
-    Engine e1(model, Engine::Options().withThreads(1), cache);
-    Engine e2(model, Engine::Options().withThreads(2), cache);
+    auto cache = std::make_shared<ShardedEncodingCache>(2, 64);
+    auto registry = std::make_shared<ModelRegistry>();
+    registry->publish("model", model);
+    Engine e1(registry, Engine::Options().withThreads(1), cache);
+    Engine e2(registry, Engine::Options().withThreads(2), cache);
     std::atomic<int> mismatches{0};
     auto run = [&](Engine& engine, std::size_t first) {
         for (std::size_t k = 0; k < trees.size(); ++k) {
