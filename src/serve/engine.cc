@@ -42,6 +42,47 @@ latentView(Tensor& latent)
         Tensor::borrowed(latent.data(), latent.rows(), latent.cols()));
 }
 
+/**
+ * P(first slower-or-equal) of every pair, in order, from one head
+ * product: pair i scores latents[slotOf[2i]] against
+ * latents[slotOf[2i + 1]]. The P first and P second rows are
+ * gathered, concatenated, and run through one P x 2d by 2d x 1
+ * product plus bias. Concat and the bias add work row by row, and
+ * both matmul kernel families compute each output row from its own
+ * input row alone (matmul_dispatch.hh), so every probability is
+ * bitwise the one-pair head's whatever P is.
+ */
+std::vector<double>
+scorePairs(const ComparativePredictor& model, std::vector<Tensor>& latents,
+           const std::vector<std::size_t>& slotOf)
+{
+    std::size_t n = slotOf.size() / 2;
+    if (n == 0)
+        return {};
+    // Tape-free: each distinct latent is wrapped once, and the
+    // probabilities are read out before the scope (and its arena)
+    // dies.
+    InferenceScope scope;
+    std::vector<ag::Var> z;
+    z.reserve(latents.size());
+    for (Tensor& t : latents)
+        z.push_back(latentView(t));
+    std::vector<std::pair<int, int>> firsts(n);
+    std::vector<std::pair<int, int>> seconds(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        firsts[i] = {static_cast<int>(slotOf[2 * i]), 0};
+        seconds[i] = {static_cast<int>(slotOf[2 * i + 1]), 0};
+    }
+    ag::Var logits =
+        model.logitFromEncodings(ag::pickRows(z, std::move(firsts)),
+                                 ag::pickRows(z, std::move(seconds)));
+    std::vector<double> probs(n);
+    for (std::size_t i = 0; i < n; ++i)
+        probs[i] =
+            logitToProb(logits.value().at(static_cast<int>(i), 0));
+    return probs;
+}
+
 } // namespace
 
 Engine::Engine(Options opts)
@@ -324,26 +365,12 @@ Engine::compareMany(const ModelVersion& version,
     if (!latents.isOk())
         return latents.status();
 
-    // The classifier head is a single 2d -> 1 linear layer; running
-    // it serially in request order keeps the output deterministic
-    // and adds negligible cost next to encoding.
+    // The classifier head is a single 2d -> 1 linear layer, run once
+    // over every pair of the call on the calling thread.
     std::vector<double> probs;
-    probs.reserve(pairs.size());
     try {
-        // Scoring is tape-free too; each probability is extracted
-        // before the scope (and its arena) dies. Each distinct latent
-        // is wrapped once and every pair reads it by slot.
-        InferenceScope scope;
-        std::vector<ag::Var> z;
-        z.reserve(latents.value().latents.size());
-        for (Tensor& t : latents.value().latents)
-            z.push_back(latentView(t));
-        const std::vector<std::size_t>& slot = latents.value().slotOf;
-        for (std::size_t i = 0; i < pairs.size(); ++i) {
-            ag::Var logit = version.model->logitFromEncodings(
-                z[slot[2 * i]], z[slot[2 * i + 1]]);
-            probs.push_back(logitToProb(logit.value().at(0, 0)));
-        }
+        probs = scorePairs(*version.model, latents.value().latents,
+                           latents.value().slotOf);
     } catch (const std::exception& e) {
         return Status::internal(
             std::string("compareMany: ") + e.what());
@@ -377,17 +404,21 @@ Engine::compareManyCached(
 
     // Resolve EVERY latent before any head work: a miss must refuse
     // the whole batch so the caller's self-contained fallback is the
-    // first execution, not a second one.
-    std::unordered_map<AstDigest, Tensor, AstDigestHash> latents;
+    // first execution, not a second one. Each distinct digest is
+    // looked up once, in first-appearance order.
+    std::vector<Tensor> latents;
+    std::vector<std::size_t> slotOf;
+    slotOf.reserve(pairs.size() * 2);
+    std::unordered_map<AstDigest, std::size_t, AstDigestHash> slotOfDigest;
     std::size_t missing = 0;
     auto resolve = [&](const AstDigest& d) {
-        if (latents.count(d) != 0)
-            return;
-        Tensor t;
-        if (cache_->lookup(EncodingKey{v.id, d}, &t))
-            latents.emplace(d, std::move(t));
-        else
-            ++missing;
+        auto [it, inserted] = slotOfDigest.try_emplace(d, latents.size());
+        if (inserted) {
+            latents.emplace_back();
+            if (!cache_->lookup(EncodingKey{v.id, d}, &latents.back()))
+                ++missing;
+        }
+        slotOf.push_back(it->second);
     };
     for (const auto& pair : pairs) {
         resolve(pair.first);
@@ -399,15 +430,8 @@ Engine::compareManyCached(
             " latent(s) not resident (evicted since encode?)");
 
     std::vector<double> probs;
-    probs.reserve(pairs.size());
     try {
-        InferenceScope scope;
-        for (const auto& pair : pairs) {
-            ag::Var z = v.model->logitFromEncodings(
-                latentView(latents.at(pair.first)),
-                latentView(latents.at(pair.second)));
-            probs.push_back(logitToProb(z.value().at(0, 0)));
-        }
+        probs = scorePairs(*v.model, latents, slotOf);
     } catch (const std::exception& e) {
         return Status::internal(
             std::string("compareManyCached: ") + e.what());

@@ -22,9 +22,10 @@
  * endpoints is bitwise-identical to a per-pair encode+classify of
  * the same version's weights and invariant to the thread count —
  * each tree's encoding is an independent computation, and the
- * classifier head always runs on the calling thread in request
- * order. Per model, an engine serving many models is
- * bitwise-identical to one serving only that model.
+ * classifier head runs on the calling thread as one row-batched
+ * product whose every row is computed from its own pair alone. Per
+ * model, an engine serving many models is bitwise-identical to one
+ * serving only that model.
  */
 
 #ifndef CCSA_SERVE_ENGINE_HH
@@ -308,7 +309,7 @@ class Engine
     /** Wall-clock boundaries of one compareMany call's pipeline
      * stages, for per-request trace spans (serve/trace): encode
      * covers the shared encodeBatch (cache walk + miss encoding),
-     * score the classifier-head loop. Every member of a coalesced
+     * score the classifier head. Every member of a coalesced
      * group shares the group's window. */
     struct PhaseTiming
     {

@@ -34,7 +34,7 @@ byTenant(const TenantStats& a, const TenantStats& b)
     return a.tenant < b.tenant;
 }
 
-/** Fan-in for a request split across shards. */
+/** Fan-in for a request split across shard queues. */
 struct Join
 {
     std::mutex mutex;
@@ -120,13 +120,12 @@ FrontEnd::split(std::vector<Engine::PairRequest> pairs,
                 Clock::time_point submitStart)
 {
     auto now = Clock::now();
-    bool perShard = backend_->queuePerShard;
-    auto stamp = [&](ServeSlice& slice, std::size_t shard) {
+    auto stamp = [&](ServeSlice& slice, std::size_t route) {
         slice.priority = submitOpts.priority;
         slice.tenant = submitOpts.tenant;
         if (opts_.trace != nullptr)
             slice.traceId = opts_.trace->nextChain();
-        slice.route = perShard ? shard : 0;
+        slice.route = route;
         slice.submitted = submitStart;
         slice.enqueued = now;
         if (submitOpts.deadline.count() > 0)
@@ -134,29 +133,25 @@ FrontEnd::split(std::vector<Engine::PairRequest> pairs,
     };
     std::vector<ServeSlice> slices;
 
-    // Group pair indices by first tree; pairs that share one stay in
-    // one slice, so its engine call looks that tree up once. With a
-    // queue per shard, a first tree's group is the shard whose
-    // partition owns its digest: the process holding its latents.
-    // With one shared queue any shard can serve any slice, so the
-    // grouping only spreads a big request across shards (a single
-    // pair needs none): distinct first trees are dealt round-robin in
-    // first-appearance order, and the client thread walks no tree.
-    std::size_t n = shards_.size();
+    // Over one shared queue any shard can serve any slice, so a
+    // request is one slice: one engine call looks each of its trees
+    // up once, and the client thread walks no tree. With a queue per
+    // shard, each pair goes to the shard whose partition owns its
+    // first tree's digest (the process holding its latents), so
+    // pairs that share a first tree share a slice.
+    std::size_t n = queues_.size();
     std::vector<std::vector<std::size_t>> groups;
     std::size_t nonEmpty = 0;
     std::size_t lastShard = 0;
-    if (n > 1 && (perShard || pairs.size() > 1)) {
+    if (n > 1) {
         groups.resize(n);
-        std::unordered_map<const Ast*, std::size_t> groupOfTree;
+        std::unordered_map<const Ast*, std::size_t> shardOfTree;
         for (std::size_t i = 0; i < pairs.size(); ++i) {
             auto [it, inserted] =
-                groupOfTree.try_emplace(pairs[i].first, 0);
+                shardOfTree.try_emplace(pairs[i].first, 0);
             if (inserted)
-                it->second = perShard
-                    ? ShardedEncodingCache::shardOf(
-                          digestAst(*pairs[i].first), n)
-                    : (groupOfTree.size() - 1) % n;
+                it->second = ShardedEncodingCache::shardOf(
+                    digestAst(*pairs[i].first), n);
             groups[it->second].push_back(i);
         }
         for (std::size_t s = 0; s < n; ++s) {
@@ -168,7 +163,7 @@ FrontEnd::split(std::vector<Engine::PairRequest> pairs,
     }
 
     if (nonEmpty <= 1) {
-        // The whole request fits one shard: no join needed.
+        // The whole request fits one queue: no join needed.
         ServeSlice slice;
         slice.pairs = std::move(pairs);
         slice.version = std::move(version);
@@ -222,12 +217,9 @@ FrontEnd::split(std::vector<Engine::PairRequest> pairs,
 QueuePush
 FrontEnd::tryPushAll(std::vector<ServeSlice>& slices)
 {
-    std::size_t route = slices.front().route;
-    bool oneQueue = std::all_of(
-        slices.begin(), slices.end(),
-        [route](const ServeSlice& s) { return s.route == route; });
-    if (oneQueue)
-        return queues_[route]->tryPushAll(slices);
+    // A split request has one slice per queue it touches.
+    if (slices.size() == 1)
+        return queues_[slices.front().route]->tryPushAll(slices);
     std::vector<BoundedQueue<ServeSlice>*> targets;
     targets.reserve(slices.size());
     for (const ServeSlice& slice : slices)
@@ -237,7 +229,7 @@ FrontEnd::tryPushAll(std::vector<ServeSlice>& slices)
 
 bool
 FrontEnd::enqueue(const SubmitOptions& submitOpts,
-                  std::vector<Engine::PairRequest> pairs,
+                  Result<std::vector<Engine::PairRequest>> request,
                   Completion complete, bool blocking)
 {
     auto submitStart = Clock::now();
@@ -279,6 +271,11 @@ FrontEnd::enqueue(const SubmitOptions& submitOpts,
 
     // Per-request validation: a malformed request fails only its own
     // future and never reaches a shared batch.
+    if (!request.isOk()) {
+        counted(request.status());
+        return true;
+    }
+    std::vector<Engine::PairRequest> pairs = request.take();
     for (std::size_t i = 0; i < pairs.size(); ++i) {
         if (pairs[i].first == nullptr || pairs[i].second == nullptr) {
             counted(Status::invalidArgument(
@@ -425,7 +422,8 @@ FrontEnd::submitCompare(const SubmitOptions& submitOpts,
 {
     auto promise = std::make_shared<std::promise<Result<double>>>();
     std::future<Result<double>> future = promise->get_future();
-    enqueue(submitOpts, {Engine::PairRequest{&first, &second}},
+    enqueue(submitOpts,
+            std::vector<Engine::PairRequest>{{&first, &second}},
             completeOne(std::move(promise)), /*blocking=*/true);
     return future;
 }
@@ -451,17 +449,12 @@ FrontEnd::submitRank(const SubmitOptions& submitOpts,
         std::promise<Result<std::vector<Engine::RankedCandidate>>>>();
     std::future<Result<std::vector<Engine::RankedCandidate>>> future =
         promise->get_future();
-    if (candidates.size() < 2) {
-        promise->set_value(Status::invalidArgument(
-            "submitRank: need at least two candidates"));
-        if (metrics_.enabled())
-            metrics_.failed->inc();
-        std::lock_guard<std::mutex> lock(submitMutex_);
-        failed_++;
-        return future;
-    }
     std::size_t n = candidates.size();
-    enqueue(submitOpts, Engine::tournamentPairs(candidates),
+    Result<std::vector<Engine::PairRequest>> pairs =
+        Status::invalidArgument("submitRank: need at least two candidates");
+    if (n >= 2)
+        pairs = Engine::tournamentPairs(candidates);
+    enqueue(submitOpts, std::move(pairs),
             [promise, n](Result<std::vector<double>> r) {
                 if (r.isOk())
                     promise->set_value(
@@ -479,7 +472,8 @@ FrontEnd::trySubmitCompare(const SubmitOptions& submitOpts,
 {
     auto promise = std::make_shared<std::promise<Result<double>>>();
     std::future<Result<double>> future = promise->get_future();
-    if (!enqueue(submitOpts, {Engine::PairRequest{&first, &second}},
+    if (!enqueue(submitOpts,
+                 std::vector<Engine::PairRequest>{{&first, &second}},
                  completeOne(std::move(promise)), /*blocking=*/false))
         return std::nullopt;
     return future;

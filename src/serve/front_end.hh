@@ -9,15 +9,14 @@
  *    model resolution through the backend's ModelRegistry: a request
  *    runs on the ModelVersion it resolved here however many slices
  *    it splits into, so a hot swap never straddles a request;
- *  - split/join: a multi-pair request is broken into slices, and a
- *    join fans them back into one result in request order. Pairs
- *    that share a first tree stay in one slice. Over one shared
- *    queue, distinct first trees are dealt round-robin across the
- *    shards, and no tree is digested on the submitting thread; over
- *    a queue per shard, each pair goes to the shard whose partition
- *    owns its first tree's digest (ShardedEncodingCache::shardOf).
- *    submitRank rides the same path: Engine::tournamentPairs splits
- *    it, Engine::aggregateTournament joins it;
+ *  - split/join: over one shared queue a request is one slice, and
+ *    no tree is digested on the submitting thread. Over a queue per
+ *    shard, each pair goes to the shard whose partition owns its
+ *    first tree's digest (ShardedEncodingCache::shardOf), so pairs
+ *    that share a first tree share a slice, and a join fans the
+ *    slices back into one result in request order. submitRank is a
+ *    compareMany over Engine::tournamentPairs, answered through
+ *    Engine::aggregateTournament;
  *  - disjoint outcome counters: every request is counted exactly
  *    once as completed, failed, or rejected (shed, shutdown, quota,
  *    deadline), per tenant as well;
@@ -28,10 +27,11 @@
  * (serve/coalesce.hh) that hands every coalesced batch to the
  * backend with one virtual call. The backend fixes the queue
  * topology. In-process shards share one work-stealing queue, because
- * they share one cache and any shard can serve any slice; there
- * routing only spreads a big request across shards. Worker processes
- * each own a queue, because each owns its partition's cache; there
- * routing decides which process serves a slice.
+ * they share one cache and any shard can serve any slice; there a
+ * request is never split, and throughput comes from concurrent
+ * requests. Worker processes each own a queue, because each owns its
+ * partition's cache; there routing decides which process serves a
+ * slice.
  *
  * Determinism contract: every probability comes from one engine's
  * compareMany, whose per-pair output is independent of batch
@@ -85,7 +85,9 @@ struct FrontEndOptions
     /** Shards: threads, engines or worker processes, and cache
      * partitions. */
     std::size_t numShards = 4;
-    /** Max requests waiting in each request queue. */
+    /** Max slices waiting in each request queue. In process a
+     * request is one slice; over worker processes it is one slice
+     * per shard queue it touches. */
     std::size_t queueCapacity = 1024;
     /** Flush a shard's batch once it holds this many pairs. */
     std::size_t maxBatchSize = 256;
@@ -196,9 +198,9 @@ struct FrontEndOptionsBuilder : FrontEndOptions
     Derived& self() { return static_cast<Derived&>(*this); }
 };
 
-/** One queued unit: a per-shard slice of a client request, pinned to
- * the ModelVersion resolved at admission (the Request shape
- * serve/coalesce.hh drives). */
+/** One queued unit: a whole client request, or its share for one
+ * shard queue, pinned to the ModelVersion resolved at admission (the
+ * Request shape serve/coalesce.hh drives). */
 struct ServeSlice
 {
     std::vector<Engine::PairRequest> pairs;
@@ -316,7 +318,7 @@ class FrontEnd
 
     /** Submit a pair batch; resolves to one probability per pair in
      * request order, bitwise-identical to Engine::compareMany on the
-     * whole batch however it splits across shards. */
+     * whole batch however it splits across shard queues. */
     std::future<Result<std::vector<double>>>
     submitCompareMany(std::vector<Engine::PairRequest> pairs)
     {
@@ -354,9 +356,9 @@ class FrontEnd
                      const Ast& first, const Ast& second);
 
     /** Non-blocking submitCompareMany. Admission is all-or-nothing:
-     * either every per-shard slice fits its queue or none is
-     * enqueued and nullopt is returned — a load-shed request never
-     * leaves half of itself behind. */
+     * either every slice fits its queue or none is enqueued and
+     * nullopt is returned — a load-shed request never leaves half of
+     * itself behind. */
     std::optional<std::future<Result<std::vector<double>>>>
     trySubmitCompareMany(std::vector<Engine::PairRequest> pairs)
     {
@@ -438,18 +440,20 @@ class FrontEnd
 
     /**
      * Validate, charge admission, resolve the model, split and
-     * enqueue. Invalid requests, quota and shutdown rejections are
-     * answered through `complete` on the calling thread.
+     * enqueue `request`: its pairs, or the Status a malformed request
+     * fails with. Invalid requests, quota and shutdown rejections are
+     * answered through `complete` on the calling thread and counted
+     * per tenant.
      * @return false only for a non-blocking attempt that found a
      * queue full — the one case where no future is handed out.
      */
     bool enqueue(const SubmitOptions& submitOpts,
-                 std::vector<Engine::PairRequest> pairs,
+                 Result<std::vector<Engine::PairRequest>> request,
                  Completion complete, bool blocking);
 
-    /** Split validated pairs into per-shard slices wired to one
-     * completion (directly, or through a join when the request
-     * crosses shards). */
+    /** Split validated pairs into slices wired to one completion:
+     * one slice over a shared queue; over a queue per shard, one per
+     * queue the request touches, joined when there are several. */
     std::vector<ServeSlice> split(
         std::vector<Engine::PairRequest> pairs,
         std::shared_ptr<const ModelVersion> version,

@@ -17,13 +17,14 @@
  *    construction; every worker loads it at exec (float32 checkpoint
  *    round-trips are bitwise-exact, so cross-process results stay
  *    bitwise-identical to a local Engine on the same weights).
- *  - Requests route by structural digest exactly as ShardedServer
- *    (shard = digest.lo % numShards on each pair's first tree),
- *    split/join included — but here routing is CORRECTNESS-adjacent,
- *    not just an optimisation: each worker process owns its
- *    partition's encoding cache in its own address space
- *    (partition-per-process), so each shard has its own request
- *    queue instead of one work-stealing queue.
+ *  - Requests route by structural digest (shard = digest.lo %
+ *    numShards on each pair's first tree): a request splits into one
+ *    slice per shard queue it touches, joined back in request order.
+ *    Routing is CORRECTNESS-adjacent, not just an optimisation: each
+ *    worker process owns its partition's encoding cache in its own
+ *    address space (partition-per-process), so each shard has its
+ *    own request queue instead of ShardedServer's one work-stealing
+ *    queue, where a request is never split.
  *  - Each shard serves a coalesced batch in two phases: an
  *    ENCODE RPC (idempotent — latents are a pure function of the
  *    trees — so it is retried on a freshly respawned worker, up to

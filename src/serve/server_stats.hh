@@ -120,11 +120,11 @@ struct ServerStats
     double latencyMeanMs = 0.0;
     double latencyMaxMs = 0.0;
     /** Latency distribution in MICROseconds of every unit the
-     * batcher served: one sample per request on a single-batcher
-     * server, one sample per per-shard SLICE on a sharded one (a
-     * split request contributes a sample per slice, each measuring
-     * submit -> slice completion; the caller-observed latency is the
-     * max of its slices, so count() can exceed requestsCompleted and
+     * batcher served: one sample per SLICE. In process a request is
+     * one slice; over worker processes a split request contributes a
+     * sample per shard queue it touched, each measuring submit ->
+     * slice completion (the caller-observed latency is the max of
+     * its slices, so count() can exceed requestsCompleted and
      * split-request samples bound the caller latency from below).
      * Unlike the percentile fields above, histograms merge
      * losslessly across batchers/shards, so this is the field an

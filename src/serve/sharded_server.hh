@@ -14,9 +14,10 @@
  *    it, shards only contend when their trees hash to the same
  *    partition, and aggregate cache capacity scales with the shard
  *    count at a fixed per-partition memory budget.
- *  - Multi-pair requests split into per-shard slices that different
- *    shards execute concurrently and join back in request order, so
- *    a big request or tournament parallelises across shards.
+ *  - A request is one slice: one shard serves it with one engine
+ *    call, which looks each of its trees up once. Throughput comes
+ *    from concurrent requests, which the shards serve side by side;
+ *    one big request or tournament does not spread across shards.
  *
  * One shard is the single-batcher server: one thread, one engine,
  * one cross-request coalescing loop.

@@ -490,6 +490,30 @@ TEST(ShardedServerAdmission, QuotaRejectionAndTenantRows)
     EXPECT_GT(stats.aggregate.tenants[1].latencyUs.count(), 0u);
 }
 
+TEST(ShardedServerAdmission, DegenerateRankFailsOnItsTenantRow)
+{
+    // A rank of fewer than two candidates fails at submit, and is
+    // counted once as failed on its tenant's row as well as in the
+    // aggregate: outcome counters stay disjoint per tenant.
+    ShardedServer server(
+        tinyOptions(), ShardedServer::Options().withNumShards(2));
+    Ast a = tinyProgram(1);
+    auto degenerate =
+        server.submitRank(SubmitOptions().withTenant("ranker"), {&a})
+            .get();
+    ASSERT_FALSE(degenerate.isOk());
+    EXPECT_EQ(degenerate.status().code(), StatusCode::InvalidArgument);
+
+    ShardedServerStats stats = server.stats();
+    EXPECT_EQ(stats.aggregate.requestsFailed, 1u);
+    EXPECT_EQ(stats.aggregate.requestsSubmitted, 0u);
+    ASSERT_EQ(stats.aggregate.tenants.size(), 1u);
+    EXPECT_EQ(stats.aggregate.tenants[0].tenant, "ranker");
+    EXPECT_EQ(stats.aggregate.tenants[0].failed, 1u);
+    EXPECT_EQ(stats.aggregate.tenants[0].submitted, 0u);
+    EXPECT_EQ(stats.aggregate.tenants[0].completed, 0u);
+}
+
 TEST(ShardedServerAdmission, PriorityParityAcrossShardCounts)
 {
     Engine reference(tinyOptions());
@@ -506,7 +530,7 @@ TEST(ShardedServerAdmission, PriorityParityAcrossShardCounts)
         ShardedServer server(
             tinyOptions(),
             ShardedServer::Options().withNumShards(shards));
-        // A split multi-pair request under batch priority...
+        // A multi-pair request under batch priority...
         auto many = server.submitCompareMany(
             SubmitOptions().withPriority(Priority::kBatch), pairs);
         // ...and single-pair requests under mixed lanes.
@@ -549,9 +573,9 @@ TEST(ShardedServerAdmission, SlicesLeaveCompleteTraceChains)
     ASSERT_TRUE(future.get().isOk());
     server.shutdown();
 
-    // A split request records one complete chain PER SLICE; total
-    // span count is a multiple of the chain length and every chain
-    // is complete.
+    // Every served slice records one complete chain; total span
+    // count is a multiple of the chain length and every chain is
+    // complete.
     auto spans = trace.spans();
     ASSERT_GT(spans.size(), 0u);
     EXPECT_EQ(spans.size() % kTracePhases, 0u);

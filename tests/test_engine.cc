@@ -442,6 +442,58 @@ TEST(Engine, CompareManyBitwiseMatchesLegacyPerPairPath)
         EXPECT_EQ(batched.value()[k], legacy[k]) << "pair " << k;
 }
 
+TEST(Engine, BatchedHeadMatchesPerPairPathAtEveryBatchSize)
+{
+    // compareMany scores a whole call with one P-row head product;
+    // every row must still be bitwise the one-pair head, whatever P
+    // is and wherever the matmul kernel's row blocks fall. Pairs
+    // repeat trees and include self-pairs, so several rows gather
+    // the same latent. An untrained head's logits sit so close to 0
+    // that float exp rounds away a few-ulp change in the logit, so
+    // the head is widened first: a head that summed its 2d products
+    // in another order (say w1.z_a + w2.z_b) then fails this test.
+    Engine::Options opts = tinyOptions();
+    auto model =
+        std::make_shared<ComparativePredictor>(opts.encoder, opts.seed);
+    for (nn::Parameter* p : model->parameters()) {
+        if (p->name.rfind("classifier.", 0) != 0)
+            continue;
+        Tensor& t = p->var.mutableValue();
+        for (int r = 0; r < t.rows(); ++r)
+            for (int c = 0; c < t.cols(); ++c)
+                t.at(r, c) *= 40.0f;
+    }
+    Engine engine(model, opts);
+    std::vector<Ast> trees;
+    for (int i = 1; i <= 7; ++i)
+        trees.push_back(tinyProgram(i));
+    std::vector<std::vector<double>> oracle(trees.size());
+    for (std::size_t i = 0; i < trees.size(); ++i)
+        for (std::size_t j = 0; j < trees.size(); ++j)
+            oracle[i].push_back(perPairProb(*model, trees[i], trees[j]));
+
+    Rng rng(27);
+    for (std::size_t p : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 17u,
+                          56u, 257u}) {
+        std::vector<Engine::PairRequest> requests;
+        std::vector<double> expected;
+        for (std::size_t k = 0; k < p; ++k) {
+            auto i = static_cast<std::size_t>(
+                rng.uniformInt(0, static_cast<int>(trees.size()) - 1));
+            auto j = static_cast<std::size_t>(
+                rng.uniformInt(0, static_cast<int>(trees.size()) - 1));
+            requests.push_back({&trees[i], &trees[j]});
+            expected.push_back(oracle[i][j]);
+        }
+        auto batched = engine.compareMany(requests);
+        ASSERT_TRUE(batched.isOk()) << "P=" << p;
+        ASSERT_EQ(batched.value().size(), p);
+        for (std::size_t k = 0; k < p; ++k)
+            EXPECT_EQ(batched.value()[k], expected[k])
+                << "P=" << p << " pair " << k;
+    }
+}
+
 TEST(Engine, CacheHitsReturnIdenticalLatentsAndAdvanceCounter)
 {
     Engine engine(tinyOptions());

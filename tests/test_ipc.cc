@@ -10,8 +10,8 @@
  *    including EINTR storms being fully absorbed by the fd_util
  *    retry loop (no user-visible effect);
  *  - a worker loop served in-process over a socketpair answers
- *    ping/encode/compare bitwise-identically to a synchronous
- *    Engine;
+ *    ping/encode/compare, and a many-pair compare by digest,
+ *    bitwise-identically to a synchronous Engine;
  *  - ProcessShardedServer parity: results bitwise-equal the sync
  *    Engine at 1/2/4 shards, split/join included;
  *  - robustness: SIGKILLing a worker mid-batch under 6-producer load
@@ -28,8 +28,9 @@
  *  - the shared front end's observability and load shedding hold
  *    across the process boundary: every successful slice leaves one
  *    complete trace chain (encode and score ending at the RPC
- *    replies) plus one SLO event, and a trySubmit split across
- *    per-shard queues is admitted all-or-nothing.
+ *    replies) plus one SLO event, a trySubmit split across
+ *    per-shard queues is admitted all-or-nothing, and a split
+ *    request sent after shutdown resolves Unavailable.
  */
 
 #include <gtest/gtest.h>
@@ -583,6 +584,62 @@ TEST(WorkerLoop, ServesPingEncodeCompareOverSocketpair)
     EXPECT_EQ(workerRc, 0);
 }
 
+TEST(WorkerLoop, DigestCompareOfManyPairsMatchesSynchronousEngine)
+{
+    // The hot path: kEncode makes the trees resident, then
+    // kCompareDigests scores pairs by digest through one head
+    // product. Pairs repeat trees and include a self-pair.
+    std::vector<Ast> trees;
+    for (int i = 1; i <= 4; ++i)
+        trees.push_back(tinyProgram(i));
+    std::vector<Engine::PairRequest> pairs;
+    for (std::size_t i = 0; i < trees.size(); ++i)
+        for (std::size_t j = 0; j < trees.size(); ++j)
+            if (i != j)
+                pairs.push_back({&trees[i], &trees[j]});
+    pairs.push_back({&trees[2], &trees[2]});
+    Engine reference(tinyOptions());
+    std::vector<double> expected =
+        reference.compareMany(pairs).value();
+
+    int fds[2];
+    ASSERT_TRUE(makeSocketPair(fds));
+    FdGuard client(fds[0]);
+    Engine workerEngine(tinyModel(), tinyOptions());
+    ipc::FaultInjector faults;
+    std::thread worker([&, fd = fds[1]] {
+        ipc::runWorkerLoop(fd, workerEngine, faults);
+        ::close(fd);
+    });
+
+    ipc::Frame frame;
+    ipc::TreeBatch batch = ipc::makeTreeBatch(pairs);
+    ASSERT_TRUE(ipc::writeFrame(
+        client.get(), ipc::MsgType::kEncode, 1,
+        ipc::encodeEncodeRequest(batch.trees)));
+    ASSERT_EQ(ipc::readFrame(client.get(), &frame),
+              ipc::ReadFrame::Ok);
+    ASSERT_EQ(frame.type, ipc::MsgType::kEncodeReply);
+
+    std::vector<std::pair<AstDigest, AstDigest>> digests;
+    for (const Engine::PairRequest& p : pairs)
+        digests.emplace_back(digestAst(*p.first), digestAst(*p.second));
+    ASSERT_TRUE(ipc::writeFrame(
+        client.get(), ipc::MsgType::kCompareDigests, 2,
+        ipc::encodeCompareDigestsRequest(digests)));
+    ASSERT_EQ(ipc::readFrame(client.get(), &frame),
+              ipc::ReadFrame::Ok);
+    ASSERT_EQ(frame.type, ipc::MsgType::kCompareReply);
+    Result<std::vector<double>> probs = Status::internal("unset");
+    ASSERT_TRUE(
+        ipc::decodeCompareReply(frame.payload, &probs).isOk());
+    ASSERT_TRUE(probs.isOk()) << probs.status().toString();
+    EXPECT_EQ(probs.value(), expected);
+
+    client.reset(); // EOF ends the loop
+    worker.join();
+}
+
 TEST(WorkerLoop, StallFaultDelaysTheNthReply)
 {
     Ast a = tinyProgram(1);
@@ -815,6 +872,54 @@ TEST(ProcessShardedServer, TrySubmitIsAllOrNothingAcrossShardQueues)
     ProcessShardedServerStats done = server.stats();
     EXPECT_EQ(done.aggregate.requestsCompleted, 2u);
     EXPECT_EQ(done.aggregate.requestsRejected, 1u);
+}
+
+TEST(ProcessShardedServer, TrySubmitOfSplitRequestAfterShutdownResolves)
+{
+    // Regression: a request split across shard queues and refused by
+    // CLOSED queues must resolve every slice, or the join never
+    // fires and the caller's future dies as a broken promise instead
+    // of carrying Unavailable. Two trees owned by different workers
+    // split into two slices.
+    std::vector<Ast> pool;
+    for (int i = 1; i <= 8; ++i)
+        pool.push_back(tinyProgram(i));
+    std::size_t shard0 =
+        ShardedEncodingCache::shardOf(digestAst(pool[0]), 2);
+    int other = -1;
+    for (std::size_t i = 1; i < pool.size(); ++i) {
+        if (ShardedEncodingCache::shardOf(digestAst(pool[i]), 2) !=
+            shard0) {
+            other = static_cast<int>(i);
+            break;
+        }
+    }
+    ASSERT_GE(other, 0) << "pool unexpectedly hashed to one shard";
+    const Ast& mine = pool[0];
+    const Ast& theirs = pool[static_cast<std::size_t>(other)];
+
+    ProcessShardedServer server(tinyModel(), ipcOptions(2));
+    server.shutdown();
+
+    std::vector<Engine::PairRequest> crossShard{{&mine, &theirs},
+                                                {&theirs, &mine}};
+    auto attempted = server.trySubmitCompareMany(crossShard);
+    ASSERT_TRUE(attempted.has_value());
+    auto got = attempted->get(); // must not throw broken_promise
+    ASSERT_FALSE(got.isOk());
+    EXPECT_EQ(got.status().code(), StatusCode::Unavailable);
+
+    // The blocking path makes the same promise.
+    auto blocked = server.submitCompareMany(crossShard).get();
+    ASSERT_FALSE(blocked.isOk());
+    EXPECT_EQ(blocked.status().code(), StatusCode::Unavailable);
+    // Each refused request counts once, as rejected ONLY —
+    // completed/failed/rejected stay disjoint outcomes.
+    ProcessShardedServerStats stats = server.stats();
+    EXPECT_EQ(stats.aggregate.requestsRejectedShutdown, 2u);
+    EXPECT_EQ(stats.aggregate.requestsRejected, 2u);
+    EXPECT_EQ(stats.aggregate.requestsFailed, 0u);
+    EXPECT_EQ(stats.aggregate.requestsCompleted, 0u);
 }
 
 TEST(ProcessShardedServer, DeadlineExpiresWhileQueued)

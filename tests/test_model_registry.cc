@@ -533,7 +533,7 @@ TEST(ShardedServer, RequestsAdmittedBeforeSwapCompleteOnOldVersion)
     for (int k = 0; k < 8; ++k)
         beforeSwap.push_back(
             server.submitCompare(SubmitOptions().withModel("m"), a, b));
-    auto beforeSplit = server.submitCompareMany(
+    auto beforeMany = server.submitCompareMany(
         SubmitOptions().withModel("m"), manyPairs);
 
     registry->publish("m", modelB); // the hot swap
@@ -552,12 +552,12 @@ TEST(ShardedServer, RequestsAdmittedBeforeSwapCompleteOnOldVersion)
         EXPECT_EQ(f.get().value(), expectA);
     for (auto& f : afterSwap)
         EXPECT_EQ(f.get().value(), expectB);
-    // A request split across shards is still ONE snapshot.
-    auto refSplit = dedicatedA.compareMany(manyPairs).value();
-    auto gotSplit = beforeSplit.get();
-    ASSERT_TRUE(gotSplit.isOk());
-    for (std::size_t k = 0; k < refSplit.size(); ++k)
-        EXPECT_EQ(gotSplit.value()[k], refSplit[k]);
+    // A multi-pair request is still ONE snapshot.
+    auto refMany = dedicatedA.compareMany(manyPairs).value();
+    auto gotMany = beforeMany.get();
+    ASSERT_TRUE(gotMany.isOk());
+    for (std::size_t k = 0; k < refMany.size(); ++k)
+        EXPECT_EQ(gotMany.value()[k], refMany[k]);
 }
 
 TEST(ShardedServer, HotSwapStressEveryResponseMatchesOneVersion)

@@ -5,11 +5,11 @@
  * under it. Pinned contracts: ShardedServer results are
  * bitwise-identical to the synchronous Engine at 1, 2, and 4 shards
  * under a deterministic multi-producer schedule (seeded base/rng
- * streams, precomputed before any thread starts); cross-shard
- * requests split and join without reordering; a paused single shard
+ * streams, precomputed before any thread starts); a request is one
+ * queue slice and keeps its pair order; a paused single shard
  * coalesces staged requests into one batch; shutdown drains every
- * accepted request; trySubmit load-shed is all-or-nothing even for
- * requests split across shards (and across queues); and the stats
+ * accepted request; trySubmit load-shed is all-or-nothing across
+ * queues and sheds a multi-pair request whole; and the stats
  * aggregate is exactly the per-shard rows merged (latency
  * percentiles from merged histograms, cache partitions summing to
  * the shared cache).
@@ -253,12 +253,11 @@ TEST(BoundedQueue, TryPushAllAcrossIsAllOrNothing)
 
 // ------------------------------------------------- ShardedServer
 
-TEST(ShardedServer, SharedQueueKeepsEachFirstTreeInOneSlice)
+TEST(ShardedServer, ServesEachRequestAsOneSlice)
 {
-    // In-process shards share one queue, so a request splits by
-    // first tree without digesting it: pairs sharing a first tree
-    // stay in one slice, and distinct first trees are dealt
-    // round-robin over the shards. queueDepth counts slices.
+    // In-process shards share one queue and one cache, so a request
+    // is never split: a head-vs-many batch and an 8-candidate rank
+    // are one slice each. queueDepth counts slices.
     std::vector<Ast> trees;
     for (int i = 1; i <= 8; ++i)
         trees.push_back(tinyProgram(i));
@@ -281,7 +280,7 @@ TEST(ShardedServer, SharedQueueKeepsEachFirstTreeInOneSlice)
     auto many = server.submitCompareMany(headVsMany);
     EXPECT_EQ(server.stats().aggregate.queueDepth, 1u);
     auto ranked = server.submitRank(candidates);
-    EXPECT_EQ(server.stats().aggregate.queueDepth, 1u + 4u);
+    EXPECT_EQ(server.stats().aggregate.queueDepth, 2u);
 
     server.start();
     auto gotMany = many.get();
@@ -319,7 +318,7 @@ TEST(ShardedServer, CompareMatchesSynchronousEngineBitwise)
     }
 }
 
-TEST(ShardedServer, SplitJoinPreservesRequestOrderBitwise)
+TEST(ShardedServer, MultiPairRequestKeepsRequestOrderBitwise)
 {
     Engine reference(tinyOptions());
     std::vector<Ast> trees;
@@ -340,16 +339,16 @@ TEST(ShardedServer, SplitJoinPreservesRequestOrderBitwise)
         auto got = server.submitCompareMany(pairs).get();
         ASSERT_TRUE(got.isOk()) << "shards=" << shards;
         ASSERT_EQ(got.value().size(), expected.size());
-        // The 30-pair request is split across shards and joined;
-        // every slice must land back in its original slot with the
-        // exact synchronous value.
+        // The 30-pair request is one slice at every shard count;
+        // every probability must land back in its original slot
+        // with the exact synchronous value.
         for (std::size_t k = 0; k < expected.size(); ++k)
             EXPECT_EQ(got.value()[k], expected[k])
                 << "shards=" << shards << " pair " << k;
     }
 }
 
-TEST(ShardedServer, RankSplitsAcrossShardsAndMatchesEngineExactly)
+TEST(ShardedServer, RankMatchesEngineExactlyAtEveryShardCount)
 {
     Engine reference(tinyOptions());
     std::vector<Ast> trees;
@@ -525,8 +524,8 @@ TEST(ShardedServer, ShutdownDrainsEveryAcceptedRequest)
         manyPairs.push_back({&trees[i], &trees[i + 1]});
 
     // Paused 4-shard server: nothing runs until shutdown, which must
-    // still answer every accepted request — including ones already
-    // split across shards — before returning.
+    // still answer every accepted request — the multi-pair one
+    // included — before returning.
     ShardedServer server(tinyOptions(),
                          ShardedServer::Options()
                              .withNumShards(4)
@@ -535,7 +534,7 @@ TEST(ShardedServer, ShutdownDrainsEveryAcceptedRequest)
     std::vector<std::future<Result<double>>> singles;
     for (int k = 0; k < 20; ++k)
         singles.push_back(server.submitCompare(a, b));
-    auto split = server.submitCompareMany(manyPairs);
+    auto many = server.submitCompareMany(manyPairs);
     EXPECT_GT(server.stats().aggregate.queueDepth, 0u);
 
     server.shutdown();
@@ -548,7 +547,7 @@ TEST(ShardedServer, ShutdownDrainsEveryAcceptedRequest)
         EXPECT_EQ(got.value(), expected);
     }
     auto expectedMany = reference.compareMany(manyPairs).value();
-    auto gotMany = split.get();
+    auto gotMany = many.get();
     ASSERT_TRUE(gotMany.isOk());
     ASSERT_EQ(gotMany.value().size(), expectedMany.size());
     for (std::size_t k = 0; k < expectedMany.size(); ++k)
@@ -566,9 +565,9 @@ TEST(ShardedServer, DeadlineExpiresWhileQueuedAndCountsOnce)
     for (std::size_t i = 0; i + 1 < trees.size(); ++i)
         pairs.push_back({&trees[i], &trees[i + 1]});
 
-    // Paused 2-shard server: the split request expires on every
-    // shard it touched, but the deadline rejection is attributed to
-    // ONE request — the join must not double-count slices.
+    // Paused 2-shard server: the multi-pair request expires while
+    // queued, and the deadline rejection is attributed to ONE
+    // request.
     ShardedServer server(tinyOptions(),
                          ShardedServer::Options()
                              .withNumShards(2)
@@ -602,11 +601,12 @@ TEST(ShardedServer, DeadlineExpiresWhileQueuedAndCountsOnce)
                   stats.requestsRejectedDeadline);
 }
 
-TEST(ShardedServer, TrySubmitLoadShedIsAllOrNothingAcrossShards)
+TEST(ShardedServer, TrySubmitShedsAMultiPairRequestWhole)
 {
-    // The shared queue deals distinct first trees round-robin across
-    // slices, so a pair batch over two trees, each first once, splits
-    // into two queue slices.
+    // A multi-pair request over distinct first trees is one slice, so
+    // it takes one queue slot; when none is free it is shed whole.
+    // The cross-queue all-or-nothing contract is pinned by
+    // ProcessShardedServer.TrySubmitIsAllOrNothingAcrossShardQueues.
     std::vector<Ast> pool;
     for (int i = 1; i <= 8; ++i)
         pool.push_back(tinyProgram(i));
@@ -616,27 +616,29 @@ TEST(ShardedServer, TrySubmitLoadShedIsAllOrNothingAcrossShards)
                              .withNumShards(4)
                              .withStartPaused(true)
                              .withQueueCapacity(1));
-    // Splits into two slices, but only one slot exists: the whole
-    // request is shed and the queue stays empty — no stranded half.
-    std::vector<Engine::PairRequest> crossShard{{&pool[0], &pool[1]},
-                                                {&pool[1], &pool[0]}};
-    auto shed = server.trySubmitCompareMany(crossShard);
-    EXPECT_FALSE(shed.has_value());
-    EXPECT_EQ(server.stats().aggregate.queueDepth, 0u);
-    EXPECT_EQ(server.stats().aggregate.requestsRejected, 1u);
-
-    // A single-pair request fits the one slot...
-    auto accepted = server.trySubmitCompare(pool[0], pool[1]);
+    std::vector<Engine::PairRequest> many{{&pool[0], &pool[1]},
+                                          {&pool[1], &pool[0]},
+                                          {&pool[2], &pool[3]}};
+    auto accepted = server.trySubmitCompareMany(many);
     ASSERT_TRUE(accepted.has_value());
     EXPECT_EQ(server.stats().aggregate.queueDepth, 1u);
-    // ...and the next one is shed.
+
+    // The one slot is taken: the next multi-pair request is shed
+    // and leaves the queue as it was...
+    EXPECT_FALSE(server.trySubmitCompareMany(many).has_value());
+    EXPECT_EQ(server.stats().aggregate.queueDepth, 1u);
+    EXPECT_EQ(server.stats().aggregate.requestsRejected, 1u);
+    // ...and so is a single pair.
     EXPECT_FALSE(server.trySubmitCompare(pool[0], pool[2])
                      .has_value());
     EXPECT_EQ(server.stats().aggregate.requestsRejected, 2u);
 
     // Accepted work is still answered once draining starts.
     server.shutdown();
-    EXPECT_TRUE(accepted->get().isOk());
+    Engine reference(tinyOptions());
+    auto got = accepted->get();
+    ASSERT_TRUE(got.isOk());
+    EXPECT_EQ(got.value(), reference.compareMany(many).value());
     EXPECT_EQ(server.stats().aggregate.requestsCompleted, 1u);
 }
 
@@ -661,12 +663,12 @@ TEST(ShardedServer, SubmitAfterShutdownResolvesUnavailable)
     EXPECT_GE(server.stats().aggregate.requestsRejected, 2u);
 }
 
-TEST(ShardedServer, TrySubmitOfSplitRequestAfterShutdownResolves)
+TEST(ShardedServer, TrySubmitOfMultiPairRequestAfterShutdownResolves)
 {
-    // Regression: a cross-shard request rejected by a CLOSED queue
-    // must resolve every slice, or the join never fires and the
-    // caller's future dies as a broken promise instead of carrying
-    // Unavailable. Two distinct first trees split into two slices.
+    // A multi-pair request refused by a CLOSED queue must resolve
+    // its future with Unavailable, not die as a broken promise.
+    // (ProcessShardedServer pins the same for a request split
+    // across shard queues.)
     std::vector<Ast> pool;
     for (int i = 1; i <= 8; ++i)
         pool.push_back(tinyProgram(i));

@@ -14,9 +14,11 @@ and fails (exit 1) on any of four regressions:
    mostly structural (a 4-way partitioned cache holds 4x the latents
    at the same per-shard budget, so the deterministic re-encode
    count collapses), which is why a throughput ratio makes a
-   workable CI gate: a regression in the cache partitioning, the
-   split/join path, or the shard loop shows up as the encode storm
-   returning, not as scheduler noise. The 1-, 2-, 4- and 8-shard
+   workable CI gate: a regression in the cache partitioning or the
+   shard loop shows up as the encode storm returning, not as
+   scheduler noise. Its clients send single pairs, which are never
+   split, so this gate does not cover the per-shard-queue split/join
+   path (tests/test_ipc.cc does). The 1-, 2-, 4- and 8-shard
    servers stay live and the clients drive them in alternating
    rounds (each row's "rounds" holds one rate per round, in run
    order); the gate takes the median of the per-round ratios. One
